@@ -1,6 +1,7 @@
 package simfleet
 
 import (
+	"math/bits"
 	"slices"
 
 	"maia/internal/bufpool"
@@ -188,6 +189,97 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// policy is the resolved scheduler, switched on per dispatch instead of
+// comparing names.
+type policy int
+
+const (
+	policyLeastLoaded policy = iota
+	policyRandom
+	policyRoundRobin
+)
+
+// loadEntry is one least-loaded heap slot: a node and its busy time,
+// which cannot change while the node is eligible (only a running job
+// accrues busy time), so the key is fixed for as long as it is indexed.
+type loadEntry struct {
+	busy vclock.Time
+	node int32
+}
+
+// loadHeap is an indexed binary min-heap of the eligible nodes ordered
+// by (busy, node): its minimum is the node the least-loaded scan's
+// strict < picks, the lowest-indexed among the least busy. pos[i] is
+// node i's slot, valid only while the node is in the heap. Fixed arrays
+// sized for the largest fleet keep it inside the sim allocation.
+type loadHeap struct {
+	e   [MaxNodes]loadEntry
+	pos [MaxNodes]int32
+	n   int
+}
+
+func (h *loadHeap) less(a, b int) bool {
+	if h.e[a].busy != h.e[b].busy {
+		return h.e[a].busy < h.e[b].busy
+	}
+	return h.e[a].node < h.e[b].node
+}
+
+func (h *loadHeap) swap(a, b int) {
+	h.e[a], h.e[b] = h.e[b], h.e[a]
+	h.pos[h.e[a].node] = int32(a)
+	h.pos[h.e[b].node] = int32(b)
+}
+
+func (h *loadHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			return
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+func (h *loadHeap) down(i int) {
+	for {
+		small := i
+		if l := 2*i + 1; l < h.n && h.less(l, small) {
+			small = l
+		}
+		if r := 2*i + 2; r < h.n && h.less(r, small) {
+			small = r
+		}
+		if small == i {
+			return
+		}
+		h.swap(i, small)
+		i = small
+	}
+}
+
+// add indexes node i under its busy time.
+func (h *loadHeap) add(i int, busy vclock.Time) {
+	h.e[h.n] = loadEntry{busy: busy, node: int32(i)}
+	h.pos[i] = int32(h.n)
+	h.n++
+	h.up(h.n - 1)
+}
+
+// remove drops node i from the heap.
+func (h *loadHeap) remove(i int) {
+	at := int(h.pos[i])
+	h.n--
+	if at == h.n {
+		return
+	}
+	h.e[at] = h.e[h.n]
+	h.pos[h.e[at].node] = int32(at)
+	h.down(at)
+	h.up(at)
+}
+
 // isRebalanceCondition reports whether the remediation loop fixes the
 // condition in place by rebalancing on measured speeds (compute-side
 // degradation); other conditions need cordon/drain/replace.
@@ -211,27 +303,41 @@ type sim struct {
 	queue       []job
 	qhead       int
 	waits       []vclock.Time
-	idle        []int // random-policy scratch, reused across dispatches
 	meanInter   vclock.Time
 	lastArrival vclock.Time
 	arrivalK    int
 	dispatchK   int
 	rrCursor    int
 
+	// The eligible-node index, kept current by mark so dispatch never
+	// scans the fleet: bit i of idle is set while node i is eligible,
+	// nIdle counts the set bits, and byLoad orders the same nodes for
+	// the least-loaded policy (maintained only under that policy).
+	policy policy
+	idle   [MaxNodes / 64]uint64
+	nIdle  int
+	byLoad loadHeap
+
 	stats Stats
 }
 
 // Run's scratch — node states, the event heap, the job queue, the
-// dispatch-wait sample, the idle list — recycles through size-classed
-// pools, so a fleet sweep's steady state allocates almost nothing per
-// run.
+// dispatch-wait sample — recycles through size-classed pools, so a
+// fleet sweep's steady state allocates almost nothing per run.
 var (
 	nodePool  bufpool.Pool[fnode]
 	eventPool bufpool.Pool[event]
 	jobPool   bufpool.Pool[job]
 	waitPool  bufpool.Pool[vclock.Time]
-	idlePool  bufpool.Pool[int]
 )
+
+// policies resolves scheduler names; withDefaults has already rejected
+// any name outside the catalog.
+var policies = map[string]policy{
+	"least-loaded": policyLeastLoaded,
+	"random":       policyRandom,
+	"round-robin":  policyRoundRobin,
+}
 
 // Run simulates one fleet and returns its statistics. The result is a
 // pure function of cfg: equal configs (and equal price tables) yield
@@ -242,10 +348,9 @@ func Run(cfg Config) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	s := &sim{cfg: cfg, profile: profile, nodes: nodePool.GetZeroed(cfg.Nodes)}
+	s := &sim{cfg: cfg, profile: profile, nodes: nodePool.GetZeroed(cfg.Nodes), policy: policies[cfg.Scheduler]}
 	s.events = eventPool.Get(4*cfg.Nodes + 64)[:0]
 	s.queue = jobPool.Get(2*cfg.Nodes + 64)[:0]
-	s.idle = idlePool.Get(cfg.Nodes)[:0]
 	s.stats = Stats{
 		Nodes:     cfg.Nodes,
 		Duration:  cfg.Duration,
@@ -259,6 +364,7 @@ func Run(cfg Config) (Stats, error) {
 		if cond != "" {
 			s.stats.DegradedStart++
 		}
+		s.mark(i)
 	}
 	s.meanInter = cfg.Prices.MeanHealthy() / vclock.Time(float64(cfg.Nodes)*cfg.Load)
 	// Size the wait sample for the expected arrival count so steady-state
@@ -278,9 +384,6 @@ func Run(cfg Config) (Stats, error) {
 
 	for len(s.events) > 0 {
 		e := s.events.pop()
-		if e.at > cfg.Duration {
-			break
-		}
 		s.now = e.at
 		switch e.kind {
 		case evArrival:
@@ -300,7 +403,6 @@ func Run(cfg Config) (Stats, error) {
 	eventPool.Put(s.events)
 	jobPool.Put(s.queue)
 	waitPool.Put(s.waits)
-	idlePool.Put(s.idle)
 	return s.stats, nil
 }
 
@@ -324,10 +426,16 @@ func (s *sim) startCondition(i int) string {
 	}
 }
 
-// push enqueues an event with the next sequence number.
+// push enqueues an event with the next sequence number. Events past the
+// horizon are dropped instead: the loop would never pop them, and they
+// would only deepen the heap every other event sifts through. They still
+// consume a sequence number, so the kept events' tie order is unchanged.
 func (s *sim) push(e event) {
 	e.seq = s.seq
 	s.seq++
+	if e.at > s.cfg.Duration {
+		return
+	}
 	s.events.push(e)
 }
 
@@ -377,6 +485,7 @@ func (s *sim) dispatch() {
 		}
 		n := &s.nodes[ni]
 		n.running, n.job, n.jobStart = true, j, s.now
+		s.mark(ni)
 		s.waits = append(s.waits, s.now-j.arrival)
 		s.push(event{at: s.now + n.svc[j.class], kind: evComplete, node: ni, epoch: n.epoch})
 		s.dispatchK++
@@ -389,41 +498,83 @@ func (s *sim) eligible(i int) bool {
 	return n.state == stateReady && !n.running && !n.failed
 }
 
+// mark brings the eligible-node index up to date with node i. Every
+// change to a node's state, running, or failed field calls it.
+func (s *sim) mark(i int) {
+	w, bit := i/64, uint64(1)<<(i%64)
+	was := s.idle[w]&bit != 0
+	if s.eligible(i) == was {
+		return
+	}
+	s.idle[w] ^= bit
+	if was {
+		s.nIdle--
+	} else {
+		s.nIdle++
+	}
+	if s.policy == policyLeastLoaded {
+		if was {
+			s.byLoad.remove(i)
+		} else {
+			s.byLoad.add(i, s.nodes[i].busy)
+		}
+	}
+}
+
 // pickNode selects the next node per the scheduler policy, or -1 when
-// no node is eligible.
+// no node is eligible. Each policy picks exactly the node a linear scan
+// of eligible(i) over the fleet would.
 func (s *sim) pickNode() int {
-	switch s.cfg.Scheduler {
-	case "round-robin":
-		for off := 0; off < len(s.nodes); off++ {
-			i := (s.rrCursor + off) % len(s.nodes)
-			if s.eligible(i) {
-				s.rrCursor = i + 1
-				return i
-			}
-		}
+	if s.nIdle == 0 {
 		return -1
-	case "random":
-		idle := s.idle[:0]
-		for i := range s.nodes {
-			if s.eligible(i) {
-				idle = append(idle, i)
-			}
+	}
+	switch s.policy {
+	case policyRoundRobin:
+		// The first eligible node at or after the cursor, wrapping.
+		i := s.nextIdle(s.rrCursor % len(s.nodes))
+		if i < 0 {
+			i = s.nextIdle(0)
 		}
-		s.idle = idle
-		if len(idle) == 0 {
+		s.rrCursor = i + 1
+		return i
+	case policyRandom:
+		// A seeded uniform draw among the eligible nodes in index order.
+		rng := vclock.NewRNG(simfault.EventSeed(s.cfg.Seed, s.dispatchK, sbPlace, 0))
+		return s.nthIdle(rng.Intn(s.nIdle))
+	default: // least-loaded
+		return int(s.byLoad.e[0].node)
+	}
+}
+
+// nextIdle returns the lowest eligible node index >= from, or -1.
+func (s *sim) nextIdle(from int) int {
+	w := from / 64
+	word := s.idle[w] &^ (1<<(from%64) - 1)
+	for {
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+		if w++; w == len(s.idle) {
 			return -1
 		}
-		rng := vclock.NewRNG(simfault.EventSeed(s.cfg.Seed, s.dispatchK, sbPlace, 0))
-		return idle[rng.Intn(len(idle))]
-	default: // least-loaded
-		best := -1
-		for i := range s.nodes {
-			if s.eligible(i) && (best < 0 || s.nodes[i].busy < s.nodes[best].busy) {
-				best = i
-			}
-		}
-		return best
+		word = s.idle[w]
 	}
+}
+
+// nthIdle returns the k-th (0-based) eligible node in index order;
+// k must be below nIdle.
+func (s *sim) nthIdle(k int) int {
+	for w, word := range s.idle {
+		if c := bits.OnesCount64(word); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			word &= word - 1 // clear the lowest set bit
+		}
+		return w*64 + bits.TrailingZeros64(word)
+	}
+	panic("simfleet: nthIdle past the eligible count")
 }
 
 // complete finishes a node's job unless the event went stale (the node
@@ -435,6 +586,7 @@ func (s *sim) complete(e event) {
 	}
 	n.running = false
 	n.busy += s.now - n.jobStart
+	s.mark(e.node)
 	s.stats.Completed++
 	if n.replacePending {
 		s.beginReplace(e.node)
@@ -469,6 +621,7 @@ func (s *sim) healthCheck() {
 		n := &s.nodes[i]
 		if n.failed {
 			n.failed = false
+			s.mark(i)
 			s.stats.Repaired++
 			if n.hasPending {
 				s.requeueFront(n.pendingJob)
@@ -506,6 +659,7 @@ func (s *sim) healthCheck() {
 		}
 		disrupted++
 		n.state = stateCordoned
+		s.mark(i)
 		if n.running {
 			n.replacePending = true
 		} else {
@@ -534,6 +688,7 @@ func (s *sim) requeueFront(j job) {
 func (s *sim) beginReplace(i int) {
 	n := &s.nodes[i]
 	n.state = stateDown
+	s.mark(i)
 	n.epoch++
 	n.replacePending = false
 	s.stats.Replaced++
@@ -575,6 +730,7 @@ func (s *sim) fail(e event) {
 			s.stats.Lost++
 		}
 	}
+	s.mark(e.node)
 }
 
 // repairDone returns a node to service: repaired or replaced hardware
@@ -589,6 +745,7 @@ func (s *sim) repairDone(e event) {
 	n.rebalanced = false
 	n.failed = false
 	n.tolerated = false
+	s.mark(e.node)
 	s.refreshPrices(n)
 	if s.profile.MTBF > 0 {
 		s.scheduleFailure(e.node)

@@ -1,8 +1,12 @@
 package simfleet
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,22 +95,74 @@ func TestRecoveryPinsExtFaultStraggler(t *testing.T) {
 	}
 }
 
+// trials is the property-suite size.
+const trials = 300
+
 // trialConfig enumerates the 300 property-suite configurations: node
 // counts from a single card to the full 512, rotating seeds, policies,
 // MTBF profiles, pinned and sampled conditions, remediation on and off.
+// Size, policy, remediation, and duration are the mixed-radix digits of
+// i (6 × 3 × 2 × 3), so every combination of them occurs instead of the
+// axes advancing in lockstep; profiles and conditions cycle with periods
+// coprime to 6.
 func trialConfig(i int, tab *PriceTable) Config {
 	nodes := []int{1, 2, 3, 8, 32, 512}[i%6]
 	durations := []vclock.Time{60 * vclock.Second, 180 * vclock.Second, 420 * vclock.Second}
 	conditions := []string{ConditionSampled, ConditionHealthy, "phi-straggler", "lossy-pcie", "thermal-throttle", "phi0-down", ConditionSampled}
 	return Config{
 		Nodes:     nodes,
-		Duration:  durations[i%len(durations)],
+		Duration:  durations[(i/36)%len(durations)],
 		Seed:      uint64(i + 1),
 		Profile:   ProfileNames()[i%len(ProfileNames())],
-		Scheduler: PolicyNames()[i%len(PolicyNames())],
-		Remediate: i%2 == 0,
+		Scheduler: PolicyNames()[(i/6)%len(PolicyNames())],
+		Remediate: (i/18)%2 == 0,
 		Condition: conditions[i%len(conditions)],
 		Prices:    tab,
+	}
+}
+
+// updateTrials regenerates testdata/trial_stats.txt. The committed file
+// was produced by the linear-scan dispatcher that the eligible-node
+// index replaced; regenerate it only for a deliberate model change.
+var updateTrials = flag.Bool("update-trials", false, "regenerate testdata/trial_stats.txt")
+
+const trialStatsPath = "testdata/trial_stats.txt"
+
+// TestRunMatchesTrialStats pins every property-suite trial's Stats, byte
+// for byte, to the committed fixture. No golden exercises the
+// round-robin or random policies, so this is their only byte-level check
+// that the indexed dispatcher picks the node a linear scan would.
+func TestRunMatchesTrialStats(t *testing.T) {
+	tab := mustTable(t)
+	var got bytes.Buffer
+	for i := 0; i < trials; i++ {
+		st, err := Run(trialConfig(i, tab))
+		if err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		fmt.Fprintf(&got, "%+v\n", st)
+	}
+	if *updateTrials {
+		if err := os.WriteFile(trialStatsPath, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(trialStatsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines := strings.Split(got.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d trial lines, fixture has %d", len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			cfg := trialConfig(i, tab)
+			t.Errorf("trial %d (%d nodes, %s, remediate=%v) diverged:\ngot  %s\nwant %s",
+				i, cfg.Nodes, cfg.Scheduler, cfg.Remediate, gotLines[i], wantLines[i])
+		}
 	}
 }
 
@@ -117,7 +173,6 @@ func trialConfig(i int, tab *PriceTable) Config {
 // than byte-identical rendered output — the harness text is a pure
 // function of Stats.
 func TestRunParallelEqualsSequential(t *testing.T) {
-	const trials = 300
 	seqTab := mustTable(t)
 	parTab, err := NewPriceTable(core.DefaultModel(), machine.NewNode(), 8)
 	if err != nil {
