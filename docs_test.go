@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -103,5 +104,50 @@ func TestModelStructFieldsDocumented(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// Every Go file the prose documents cite in backticks must exist: as a
+// path from the repository root, or as a path suffix that names exactly
+// one file in the tree.
+func TestDocsCiteExistingFiles(t *testing.T) {
+	var files []string
+	err := filepath.Walk(".", func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		if info.IsDir() && strings.HasPrefix(info.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if !info.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile("`([A-Za-z0-9_./-]+\\.go)`")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cited.FindAllStringSubmatch(string(text), -1) {
+			ref := m[1]
+			matches := 0
+			for _, f := range files {
+				if f == ref {
+					matches = 1
+					break
+				}
+				if strings.HasSuffix(f, "/"+ref) {
+					matches++
+				}
+			}
+			if matches != 1 {
+				t.Errorf("%s cites `%s`, which matches %d files", doc, ref, matches)
+			}
+		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // Rack-scale extension experiments: the paper measures one node (and a
 // two-host InfiniBand pair); Table 1's system is 128 nodes on an FDR
 // InfiniBand hypercube. These experiments sweep the full fabric —
-// feasible because node-major worlds price on the hierarchical replay
-// (hierrepeat.go), which makes a 2048-rank collective cost
+// feasible because node-major worlds price on simmpi's replay, whose
+// representative-node clock vector makes a 2048-rank collective cost
 // microseconds of wall clock instead of a 2048-goroutine run.
 
 // rackExperiments lists the ext-rack-* studies.

@@ -12,13 +12,12 @@ import (
 // compute, id^1 pair exchanges, ring shifts, recursive-doubling
 // allreduces, pairwise alltoalls — so on the flat homogeneous worlds
 // MPIRun builds, the whole rank sweep prices through simmpi's replay
-// engines instead of goroutine-running one representative iteration.
-// LU's wavefront is the one non-lockstep shape; it replays through the
-// clock-vector pipeline (simmpi.RepeatPipeline). The replays refuse
-// (and MPIRun falls back to the goroutine engine) under fault plans,
-// MAIA_NO_FASTPATH, single-rank worlds, or any step the flat replay
-// cannot prove symmetric — differential tests pin the two paths
-// bit-identical.
+// instead of goroutine-running one representative iteration. LU's
+// wavefront is the one non-lockstep shape; it replays as a pipeline
+// (simmpi.RepeatPipeline). The replay refuses (and MPIRun falls back to
+// the goroutine engine) under fault plans, MAIA_NO_FASTPATH,
+// single-rank worlds, or any step it cannot replay — differential
+// tests pin the two paths bit-identical.
 
 // iterationReplay prices one representative iteration of b in closed
 // form, or reports ok=false when the goroutine engine is needed.

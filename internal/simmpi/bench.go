@@ -22,10 +22,11 @@ func RingBandwidth(cfg Config, msgBytes, iters int, opts ...Option) (float64, er
 	if err != nil {
 		return 0, err
 	}
-	// Symmetric homogeneous rings are priced in closed form; tracing-on
-	// runs keep the full path so per-operation traces are unchanged.
+	// Symmetric homogeneous rings are priced in closed form (a one-step
+	// ring script); tracing-on runs keep the full path so per-operation
+	// traces are unchanged.
 	if w.cfg.Tracer == nil {
-		if total, ok := w.RepeatSendrecv(msgBytes, iters); ok {
+		if total, ok := w.RepeatSeq([]SeqStep{{Kind: RingKind, Bytes: msgBytes}}, iters); ok {
 			t := total.Seconds()
 			if t <= 0 {
 				return 0, fmt.Errorf("simmpi: ring benchmark consumed no virtual time")

@@ -13,7 +13,7 @@ package simmpi
 //  3. intra-node: the leader distributes the result back down.
 //
 // This is how real MPI libraries behave on fat-node clusters, and it is
-// what makes the rack replay (hierrepeat.go) possible: in a world of
+// what makes the rack replay (replay.go) possible: in a world of
 // identical nodes every phase is symmetric per LOCAL rank index, so one
 // representative node's clock vector reproduces all ~17k ranks bit for
 // bit. Barrier, Reduce, Gather, and Scatter keep their flat algorithms

@@ -65,6 +65,9 @@ func TestRepeatPipelineMatchesFullRun(t *testing.T) {
 			t.Fatalf("trial %d (n=%d msg=%d rounds=%d compute=%v): fast %v, slow %v",
 				trial, len(cfg.Ranks), msg, rounds, compute, fast, slow)
 		}
+		checkCounters(t, cfg,
+			func(w *World) bool { _, ok := w.RepeatPipeline(msg, rounds, compute); return ok },
+			func(w *World) error { return w.Run(pipelineBody(msg, rounds, compute)) })
 	}
 }
 
@@ -104,6 +107,7 @@ func TestRingSeqMatchesFullRun(t *testing.T) {
 			t.Fatalf("trial %d (n=%d iters=%d): fast %v, slow %v",
 				trial, len(cfg.Ranks), iters, fast, slow)
 		}
+		checkSeqCounters(t, cfg, steps, iters)
 	}
 }
 

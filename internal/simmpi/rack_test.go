@@ -92,6 +92,7 @@ func TestRackReplayMatchesFullRun(t *testing.T) {
 			t.Fatalf("trial %d (nodes=%d per=%d dev=%v kind=%v msg=%d iters=%d): fast %v, slow %v",
 				trials, cfg.Fabric.Nodes, perNode, cfg.Ranks[0].Device, kind, msg, iters, fast, slow)
 		}
+		checkSeqCounters(t, cfg, steps, iters)
 		trials++
 	}
 }
@@ -130,6 +131,7 @@ func TestRackReplayScripts(t *testing.T) {
 			t.Fatalf("trial %d (nodes=%d per=%d): fast %v, slow %v",
 				trial, cfg.Fabric.Nodes, perNode, fast, slow)
 		}
+		checkSeqCounters(t, cfg, steps, iters)
 	}
 }
 
@@ -158,6 +160,7 @@ func TestRackCollectiveTimeMatches(t *testing.T) {
 		if fast != slow {
 			t.Errorf("%v: fast %v != slow %v", kind, fast, slow)
 		}
+		checkOpCounters(t, cfg, kind, 512, 3)
 	}
 }
 

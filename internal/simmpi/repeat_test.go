@@ -6,6 +6,7 @@ import (
 
 	"maia/internal/machine"
 	"maia/internal/simfault"
+	"maia/internal/simtrace"
 	"maia/internal/vclock"
 )
 
@@ -26,6 +27,66 @@ func withFastPath(fn func()) {
 	noFastPathEnv = false
 	defer func() { noFastPathEnv = prev }()
 	fn()
+}
+
+// checkCounters pins the replay's trace counters to the goroutine
+// engine's: a traced replay must count the same mpi/messages and
+// mpi/bytes as a traced full run of the same world. fast prices on the
+// replay and reports whether it engaged (a refusal has nothing to pin);
+// slow runs the goroutine engine.
+func checkCounters(t *testing.T, cfg Config, fast func(w *World) bool, slow func(w *World) error) {
+	t.Helper()
+	cfg.SizeOnlyPayloads = true
+	count := func(price func(w *World) bool) (msgs, bytes int64, ok bool) {
+		tr := simtrace.New()
+		w, err := NewWorld(cfg, WithTracer(tr, "counters"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok = price(w)
+		for _, c := range tr.Counters() {
+			switch c.Key {
+			case simtrace.CounterKey{Cat: simtrace.CatMPI, Name: "messages"}:
+				msgs = c.Value
+			case simtrace.CounterKey{Cat: simtrace.CatMPI, Name: "bytes"}:
+				bytes = c.Value
+			}
+		}
+		return msgs, bytes, ok
+	}
+	var fm, fb int64
+	var ok bool
+	withFastPath(func() { fm, fb, ok = count(fast) })
+	if !ok {
+		return
+	}
+	sm, sb, _ := count(func(w *World) bool {
+		if err := slow(w); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	if fm != sm || fb != sb {
+		t.Fatalf("replay counted %d messages / %d bytes, goroutine run %d / %d", fm, fb, sm, sb)
+	}
+}
+
+// checkSeqCounters is checkCounters for a script: RepeatSeq against
+// RunSeq.
+func checkSeqCounters(t *testing.T, cfg Config, steps []SeqStep, iters int) {
+	t.Helper()
+	checkCounters(t, cfg,
+		func(w *World) bool { _, ok := w.RepeatSeq(steps, iters); return ok },
+		func(w *World) error { return w.RunSeq(steps, iters) })
+}
+
+// checkOpCounters is checkCounters for RepeatOp: the goroutine side
+// runs the equivalent one-step script.
+func checkOpCounters(t *testing.T, cfg Config, kind CollectiveKind, msg, iters int) {
+	t.Helper()
+	checkCounters(t, cfg,
+		func(w *World) bool { _, ok := w.RepeatOp(kind, msg, iters); return ok },
+		func(w *World) error { return w.RunSeq([]SeqStep{{Kind: kind, Bytes: msg}}, iters) })
 }
 
 // randomHomogeneous builds a homogeneous world placement.
@@ -68,6 +129,7 @@ func TestRepeatOpMatchesFullRun(t *testing.T) {
 			t.Fatalf("trial %d (n=%d dev=%v kind=%v msg=%d iters=%d): fast %v, slow %v",
 				trial, len(cfg.Ranks), cfg.Ranks[0].Device, kind, msg, iters, fast, slow)
 		}
+		checkOpCounters(t, cfg, kind, msg, iters)
 	}
 }
 
@@ -93,6 +155,7 @@ func TestRepeatSendrecvMatchesFullRun(t *testing.T) {
 			t.Fatalf("trial %d (n=%d msg=%d iters=%d): fast %v, slow %v",
 				trial, len(cfg.Ranks), msg, iters, fast, slow)
 		}
+		checkSeqCounters(t, cfg, []SeqStep{{Kind: RingKind, Bytes: msg}}, iters)
 	}
 }
 

@@ -66,6 +66,7 @@ func TestVecReplayMatchesFullRun(t *testing.T) {
 			t.Fatalf("trial %d (n=%d dev=%v kind=%v msg=%d iters=%d): fast %v, slow %v",
 				trial, len(cfg.Ranks), cfg.Ranks[0].Device, kind, msg, iters, fast, slow)
 		}
+		checkOpCounters(t, cfg, kind, msg, iters)
 	}
 }
 
@@ -159,7 +160,96 @@ func TestVecSeqScriptsMatchFullRun(t *testing.T) {
 			t.Fatalf("trial %d (n=%d dev=%v steps=%+v iters=%d): fast %v, slow %v",
 				trial, n, cfg.Ranks[0].Device, steps, iters, fast, slow)
 		}
+		checkSeqCounters(t, cfg, steps, iters)
 	}
+
+	// Mid-script switches: a symmetric prefix the replay prices on its
+	// one uniform clock, then a step that expands it to the full clock
+	// vector. Every other trial runs under a plan that injects nothing,
+	// which must replay like the healthy machine it is.
+	rng = rand.New(rand.NewSource(43))
+	for trial := 0; trial < 120; trial++ {
+		var cfg Config
+		if trial%4 < 2 {
+			cfg = randomHomogeneous(rng)
+		} else {
+			cfg = randomNonPow2(rng)
+		}
+		var opts []Option
+		if trial%2 == 1 {
+			opts = append(opts, WithFaultPlan(&simfault.Plan{}))
+		}
+		n := len(cfg.Ranks)
+		steps := randomSwitchScript(rng, n)
+		iters := 1 + rng.Intn(3)
+		withFastPath(func() {
+			w, err := NewWorld(cfg, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := w.RepeatSeq(steps, iters); !ok {
+				t.Fatalf("switch trial %d: replay refused (n=%d steps=%+v)", trial, n, steps)
+			}
+		})
+		fast, err := SeqTime(cfg, steps, iters, opts...)
+		if err != nil {
+			t.Fatalf("switch trial %d: fast: %v", trial, err)
+		}
+		var slow vclock.Time
+		withSlowPath(func() {
+			slow, err = SeqTime(cfg, steps, iters, opts...)
+		})
+		if err != nil {
+			t.Fatalf("switch trial %d: slow: %v", trial, err)
+		}
+		if fast != slow {
+			t.Fatalf("switch trial %d (n=%d dev=%v steps=%+v iters=%d): fast %v, slow %v",
+				trial, n, cfg.Ranks[0].Device, steps, iters, fast, slow)
+		}
+		checkSeqCounters(t, cfg, steps, iters)
+	}
+}
+
+// randomSwitchScript builds a script whose symmetric prefix — uniform
+// compute with Allgather, Ring or Alltoall — keeps every rank clock
+// equal, and whose last step breaks that: a Bcast, a ComputePer of two
+// or more entries, or per-rank ring payloads.
+func randomSwitchScript(rng *rand.Rand, n int) []SeqStep {
+	steps := make([]SeqStep, 0, 4)
+	for k := 1 + rng.Intn(3); k > 0; k-- {
+		st := SeqStep{Compute: vclock.Time(rng.Intn(2000)) * vclock.Microsecond}
+		switch rng.Intn(3) {
+		case 0:
+			st.Kind = AllgatherKind
+			st.Bytes = 1 + rng.Intn(8<<10)
+		case 1:
+			st.Kind = RingKind
+			st.Shift = rng.Intn(2 * n)
+			st.Bytes = 1 + rng.Intn(16<<10)
+		default:
+			st.Kind = AlltoallKind
+			st.Bytes = 1 + rng.Intn(4<<10)
+		}
+		steps = append(steps, st)
+	}
+	var last SeqStep
+	switch rng.Intn(3) {
+	case 0:
+		last = SeqStep{Kind: BcastKind, Bytes: 1 + rng.Intn(16<<10)}
+	case 1:
+		per := make([]vclock.Time, 2+rng.Intn(n-1))
+		for i := range per {
+			per[i] = vclock.Time(rng.Intn(2000)) * vclock.Microsecond
+		}
+		last = SeqStep{ComputePer: per, Kind: RingKind, Bytes: 1 + rng.Intn(16<<10)}
+	default:
+		bp := make([]int, n)
+		for i := range bp {
+			bp[i] = 64 + rng.Intn(16<<10)
+		}
+		last = SeqStep{Kind: RingKind, Shift: rng.Intn(2 * n), BytesPer: bp}
+	}
+	return append(steps, last)
 }
 
 // TestVecSeqReplayEngages asserts the vector script path actually
