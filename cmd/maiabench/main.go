@@ -52,7 +52,6 @@ import (
 	"io/fs"
 	"os"
 	"runtime"
-	"time"
 
 	"maia/internal/harness"
 	"maia/internal/simfault"
@@ -75,12 +74,10 @@ func run(args []string) error {
 	goldenDir := fs.String("golden", harness.DefaultGoldenDir,
 		"golden snapshot directory (-verify falls back to the build-time copies when it does not exist)")
 	stats := fs.Bool("stats", false, "print per-experiment wall time and output size to stderr")
-	benchJSON := fs.String("benchjson", "", "append per-experiment wall-clock and allocation stats as a labeled run to this JSON file")
-	benchLabel := fs.String("benchlabel", "run", "label for the -benchjson run entry")
 	jf := harness.AddJobFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(),
-			"usage: maiabench [-quick] [-parallel N] [-faults PLAN [-seed S]] [-nodes N] [-fleet N [-scheduler P]] [-verify|-update] [-trace FILE] [-trace-summary] [-stats] [-benchjson FILE [-benchlabel L]] [-list] <experiment>... | all")
+			"usage: maiabench [-quick] [-parallel N] [-faults PLAN [-seed S]] [-nodes N] [-fleet N [-scheduler P]] [-verify|-update] [-trace FILE] [-trace-summary] [-stats] [-list] <experiment>... | all")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -149,18 +146,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	start := time.Now()
 	results, err := harness.RunExperiments(os.Stdout, env, exps, *parallel)
-	total := time.Since(start)
-	if *benchJSON != "" {
-		run := harness.NewBenchRun(*benchLabel, jf.Quick, *parallel, total, results)
-		if berr := harness.AppendBenchJSON(*benchJSON, run); berr != nil && err == nil {
-			err = berr
-		} else if berr == nil {
-			fmt.Fprintf(os.Stderr, "maiabench: appended run %q (%d experiments, %v) to %s\n",
-				*benchLabel, len(results), total.Round(time.Millisecond), *benchJSON)
-		}
-	}
 	if *stats {
 		for _, r := range results {
 			status := "ok"

@@ -13,7 +13,6 @@
 //	maiad                      # listen on :8750, golden-seeded cache
 //	maiad -addr 127.0.0.1:0    # ephemeral port (logged at startup)
 //	maiad -workers 4           # bound concurrent engine executions
-//	maiad -no-seed             # start fully cold (benchmarking misses)
 //
 // SIGINT/SIGTERM drain in-flight requests and exit 0, logging a final
 // traffic summary.
@@ -55,17 +54,12 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	workers := flags.Int("workers", runtime.NumCPU(), "max concurrent engine executions")
 	goldenDir := flags.String("golden", harness.DefaultGoldenDir,
 		"golden snapshot directory seeding the cache (falls back to the build-time copies)")
-	noSeed := flags.Bool("no-seed", false, "skip golden seeding and start with a cold cache")
 	if err := flags.Parse(args); err != nil {
 		return err
 	}
 
-	var golden fs.FS
-	if !*noSeed {
-		golden = goldenSource(*goldenDir)
-	}
 	srv, err := maiad.New(maiad.Config{
-		Golden:  golden,
+		Golden:  goldenSource(*goldenDir),
 		Workers: *workers,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)

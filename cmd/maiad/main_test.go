@@ -67,40 +67,6 @@ func TestServeAndShutdown(t *testing.T) {
 	}
 }
 
-// -no-seed starts fully cold.
-func TestNoSeed(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ready := make(chan string, 1)
-	done := make(chan error, 1)
-	go func() { done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-no-seed"}, ready) }()
-
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-done:
-		t.Fatalf("server exited before ready: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("server never became ready")
-	}
-	resp, err := http.Get("http://" + addr + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var h maiad.HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if h.CacheEntries != 0 {
-		t.Fatalf("cold start has %d cache entries", h.CacheEntries)
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-}
-
 // Bad flags fail fast.
 func TestBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-addr", "not an address"}, nil); err == nil {

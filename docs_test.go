@@ -107,9 +107,10 @@ func TestModelStructFieldsDocumented(t *testing.T) {
 	}
 }
 
-// Every Go file the prose documents cite in backticks must exist: as a
-// path from the repository root, or as a path suffix that names exactly
-// one file in the tree.
+// Every Go or JSON file the prose documents cite in backticks must
+// exist: as a path from the repository root, or as a path suffix that
+// names exactly one file in the tree. Every cited `cmd/<name>` must be a
+// command directory.
 func TestDocsCiteExistingFiles(t *testing.T) {
 	var files []string
 	err := filepath.Walk(".", func(path string, info os.FileInfo, err error) error {
@@ -119,7 +120,7 @@ func TestDocsCiteExistingFiles(t *testing.T) {
 		if info.IsDir() && strings.HasPrefix(info.Name(), ".") && path != "." {
 			return filepath.SkipDir
 		}
-		if !info.IsDir() && strings.HasSuffix(path, ".go") {
+		if !info.IsDir() && (strings.HasSuffix(path, ".go") || strings.HasSuffix(path, ".json")) {
 			files = append(files, filepath.ToSlash(path))
 		}
 		return nil
@@ -127,7 +128,8 @@ func TestDocsCiteExistingFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cited := regexp.MustCompile("`([A-Za-z0-9_./-]+\\.go)`")
+	cited := regexp.MustCompile("`([A-Za-z0-9_./-]+\\.(?:go|json))`")
+	citedCmd := regexp.MustCompile("`(cmd/[A-Za-z0-9_-]+)/?`")
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -147,6 +149,11 @@ func TestDocsCiteExistingFiles(t *testing.T) {
 			}
 			if matches != 1 {
 				t.Errorf("%s cites `%s`, which matches %d files", doc, ref, matches)
+			}
+		}
+		for _, m := range citedCmd.FindAllStringSubmatch(string(text), -1) {
+			if info, err := os.Stat(m[1]); err != nil || !info.IsDir() {
+				t.Errorf("%s cites `%s`, which is not a directory", doc, m[1])
 			}
 		}
 	}

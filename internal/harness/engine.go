@@ -18,8 +18,7 @@ const ResultSchemaVersion = 1
 
 // Result is the metadata of one experiment executed by the engine. It
 // doubles as a versioned wire type: the JSON field tags are part of the
-// maiad response format and the -benchjson file format, pinned by a
-// golden encode/decode test. Encode via Wire so SchemaVersion and the
+// maiad response format, pinned by a golden encode/decode test. Encode via Wire so SchemaVersion and the
 // flattened Error are populated.
 type Result struct {
 	// SchemaVersion is the wire-format version (ResultSchemaVersion);

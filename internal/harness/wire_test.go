@@ -23,8 +23,8 @@ func wireResult() Result {
 	}
 }
 
-// The Result wire encoding is pinned byte-for-byte: maiad cache entries,
-// HTTP responses, and -benchjson files all speak this format, so any
+// The Result wire encoding is pinned byte-for-byte: maiad cache entries
+// and HTTP responses both speak this format, so any
 // unintended field rename/retype surfaces here as a golden diff (and an
 // intended one must bump ResultSchemaVersion alongside the golden).
 func TestResultWireGoldenEncode(t *testing.T) {
