@@ -30,6 +30,9 @@ BUDGETS = {
     "cold_p99_ms": ("<=", 100),
     "fleet_p99_ms": ("<=", 250),
     "harness.render.fig5_ms": ("<=", 100),
+    # fig6 takes a few ms in closed form, 400-600 ms per access
+    # (MAIA_NO_FASTPATH=1): a trip means memsim's closed form stopped engaging.
+    "harness.render.fig6_ms": ("<=", 100),
     "harness.render.fig20_ms": ("<=", 100),
     # ext-stride's grid, unmemoized: its render hits the StrideDerate memo.
     "memsim.strided_ms": ("<=", 100),

@@ -229,12 +229,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// decodeSpec reads and validates one JobSpec from an HTTP body.
-func (s *Server) decodeSpec(r io.Reader) (harness.JobSpec, error) {
+// decodeBody decodes an HTTP body that must hold exactly one JSON value
+// with no unknown fields: anything after the value is an error, so a
+// second concatenated spec is refused rather than silently dropped.
+func decodeBody(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// decodeSpec reads and validates one JobSpec from an HTTP body.
+func (s *Server) decodeSpec(r io.Reader) (harness.JobSpec, error) {
 	var spec harness.JobSpec
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeBody(r, &spec); err != nil {
 		return harness.JobSpec{}, fmt.Errorf("malformed job spec: %w", err)
 	}
 	if err := spec.Validate(s.reg); err != nil {
@@ -427,10 +440,8 @@ type SweepResponse struct {
 // the cold jobs by environment, and runs each group through the
 // existing parallel experiment engine in one pass.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req SweepRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		s.fail(w, fmt.Errorf("malformed sweep request: %w", err))
 		return
 	}

@@ -308,6 +308,7 @@ func TestJobErrorTaxonomy(t *testing.T) {
 		{"bad model key", `{"experiment":"table1","model":{"bogus":1}}`, "invalid_model_override", http.StatusBadRequest},
 		{"unknown field", `{"experiment":"table1","surprise":1}`, "bad_request", http.StatusBadRequest},
 		{"malformed json", `{`, "bad_request", http.StatusBadRequest},
+		{"trailing data", `{"experiment":"table1"} {"experiment":"fig5"}`, "bad_request", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -320,12 +321,19 @@ func TestJobErrorTaxonomy(t *testing.T) {
 		})
 	}
 
+	// A second sweep request in the body is refused, not dropped.
+	var er ErrorResponse
+	body := `{"specs":[{"experiment":"table1"}]} {"specs":[{"experiment":"fig5"}]}`
+	if code := postJob(t, ts.URL+"/v1/sweeps", body, &er); code != http.StatusBadRequest || er.Code != "bad_request" {
+		t.Errorf("sweep trailing data: status=%d code=%q (%s)", code, er.Code, er.Error)
+	}
+
 	resp, err := http.Get(ts.URL + "/v1/jobs/deadbeef")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var er ErrorResponse
+	er = ErrorResponse{}
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 		t.Fatal(err)
 	}

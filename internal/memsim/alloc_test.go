@@ -7,62 +7,30 @@ import (
 	"maia/internal/machine"
 )
 
-// Allocation-regression guards for the steady-state engine. The sweep
-// cost model is O(period) state (pooled) plus O(1) arithmetic per
-// extrapolated cycle; a regression that reintroduces per-iteration
-// allocation (or stops recycling the pooled engine state) trips these.
+// Allocation-regression guards for the closed form. A provable point
+// prices in O(levels) arithmetic plus O(accesses) float additions and
+// allocates only its engine (and its counts slice); a regression that
+// reintroduces per-point buffers or per-access allocation trips these.
 
-// TestSteadyCycleReplayAllocFree pins that once the engine reaches the
-// steady state, pricing more cycles allocates nothing: the replay is
-// counter arithmetic, not simulation.
-func TestSteadyCycleReplayAllocFree(t *testing.T) {
+// TestChaseLatencySweepAllocBound pins the end-to-end chase cost: a
+// provable ChaseLatency performs thousands of virtual accesses (a
+// million at 64 MB) but allocates only its engine — never the
+// permutation.
+func TestChaseLatencySweepAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; bound asserted in normal builds")
 	}
 	withFastPath(func() {
 		h := MustHierarchy(machine.SandyBridge())
-		h.Flush()
-		eng := newStridedSim(h, 64, 64)
-		if eng == nil {
-			t.Fatal("engine refused an eligible workload")
-		}
-		defer eng.finish()
-		counts := make([]uint64, len(h.levels)+1)
-		// Drive to steady state (two identical cycles) before measuring.
-		for c := 0; c < 4; c++ {
-			eng.run(eng.period, nil, counts)
-		}
-		if !eng.steady {
-			t.Fatal("engine never reached the steady state")
-		}
-		allocs := testing.AllocsPerRun(5, func() {
-			for c := 0; c < 4096; c++ {
-				eng.run(eng.period, nil, counts)
+		for _, ws := range []int{8 * 64, 64 << 20} { // 8 lines (4096 measured accesses); DRAM
+			allocs := testing.AllocsPerRun(5, func() {
+				ChaseLatency(h, ws, 42)
+			})
+			if allocs > 2 {
+				t.Errorf("ChaseLatency allocated %.1f times for a %d B chase, want <= 2", allocs, ws)
 			}
-		})
-		if allocs > 0 {
-			t.Errorf("steady replay of 4096 cycles allocated %.1f times, want 0", allocs)
 		}
 	})
-}
-
-// TestChaseLatencySweepAllocBound pins the end-to-end sweep cost: a
-// small-footprint ChaseLatency performs thousands of virtual accesses
-// but must allocate only O(lines) — the permutation buffers plus the
-// pooled engine state (recycled, so the steady-state marginal cost is
-// near zero). The bound is loose; only an O(iterations) regression
-// blows through it.
-func TestChaseLatencySweepAllocBound(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation adds allocations; bound asserted in normal builds")
-	}
-	h := MustHierarchy(machine.SandyBridge())
-	allocs := testing.AllocsPerRun(5, func() {
-		ChaseLatency(h, 8*64, 42) // 8 lines, 4096 measured accesses
-	})
-	if allocs > 64 {
-		t.Errorf("ChaseLatency allocated %.1f times for an 8-line chase, want <= 64", allocs)
-	}
 }
 
 // TestFig5SweepAllocBound pins the end-to-end Figure 5 sweep: the full
@@ -70,8 +38,7 @@ func TestChaseLatencySweepAllocBound(t *testing.T) {
 // backing, the pooled permutations, and the all-miss proof, this shape
 // cost ~19.6k mallocs and ~202 MB of allocation; it now sits near 1.1k
 // and 36 MB. The bounds leave ~4x headroom so only a real regression
-// (per-set slices, per-point permutations, unpooled engine state)
-// trips them.
+// (per-set slices, per-point permutations) trips them.
 func TestFig5SweepAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; bound asserted in normal builds")
@@ -91,18 +58,20 @@ func TestFig5SweepAllocBound(t *testing.T) {
 }
 
 // TestStridedSweepAllocBound is the same guard for the strided sweep
-// behind Figures 5–6: ~4K accesses over a 16-line footprint must stay
-// within a fixed allocation budget.
+// behind Figures 5–6: ~4K accesses over a 16-line footprint allocate
+// only the counts slice and the engine.
 func TestStridedSweepAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; bound asserted in normal builds")
 	}
-	spec := machine.SandyBridge()
-	h := MustHierarchy(spec)
-	allocs := testing.AllocsPerRun(5, func() {
-		StridedBandwidth(h, spec, 16*64, 64, 8)
+	withFastPath(func() {
+		spec := machine.SandyBridge()
+		h := MustHierarchy(spec)
+		allocs := testing.AllocsPerRun(5, func() {
+			StridedBandwidth(h, spec, 16*64, 64, 8)
+		})
+		if allocs > 2 {
+			t.Errorf("StridedBandwidth allocated %.1f times for a 16-line sweep, want <= 2", allocs)
+		}
 	})
-	if allocs > 64 {
-		t.Errorf("StridedBandwidth allocated %.1f times for a 16-line sweep, want <= 64", allocs)
-	}
 }

@@ -41,27 +41,9 @@ func StreamBandwidth(h *Hierarchy, proc machine.ProcessorSpec, workingSetBytes i
 		passes = 4096/lines + 1
 	}
 	counts := make([]uint64, len(h.levels)+1)
-	eng := newStridedAllMissSim(h, lines, lineBytes)
-	if eng == nil {
-		eng = newStridedSim(h, lines, lineBytes)
-	}
-	if eng != nil {
-		// Steady-state replay: one warm-up pass, then the measured
-		// passes tallying which level serves each line.
-		eng.run(eng.period, nil, nil)
-		for p := 0; p < passes; p++ {
-			eng.run(eng.period, nil, counts)
-		}
-		eng.finish()
-	} else {
-		// Warm-up pass.
-		h.AccessRange(0, lines, lineBytes)
-		// Measured passes: stream the set repeatedly, tallying which
-		// level serves each line.
-		for p := 0; p < passes; p++ {
-			h.AccessRangeInto(counts, 0, lines, lineBytes)
-		}
-	}
+	// One warm-up pass, then the measured passes tallying which level
+	// serves each line.
+	streamPasses(h, counts, lines, lineBytes, passes)
 	// Harmonic combination: total time = sum over levels of
 	// bytes_served_by_level / level_bandwidth.
 	var readTime, writeTime, bytes float64

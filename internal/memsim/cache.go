@@ -155,10 +155,10 @@ type Hierarchy struct {
 
 	memAccesses uint64
 
-	// noFastPath forces the per-element simulation even for workloads
-	// the steady-state engine (steady.go) could replay; the escape
-	// hatch the equivalence property tests and CI use to keep the slow
-	// path exercised.
+	// noFastPath forces the per-access simulation even for walks the
+	// closed form (uniform.go) could price; the escape hatch the
+	// equivalence property tests and CI use to keep the slow path
+	// exercised.
 	noFastPath bool
 }
 
@@ -195,9 +195,9 @@ func (h *Hierarchy) Levels() []*Cache { return h.levels }
 // MemAccesses returns how many accesses reached main memory.
 func (h *Hierarchy) MemAccesses() uint64 { return h.memAccesses }
 
-// SetNoFastPath toggles the steady-state fast path (steady.go) off
-// (true) so every access walks the per-element simulation — the escape
-// hatch equivalence tests and CI use. The MAIA_NO_FASTPATH environment
+// SetNoFastPath toggles the closed-form pricing (uniform.go) off (true)
+// so every access walks the per-access simulation — the escape hatch
+// equivalence tests and CI use. The MAIA_NO_FASTPATH environment
 // variable forces the same globally.
 func (h *Hierarchy) SetNoFastPath(v bool) { h.noFastPath = v }
 

@@ -1,9 +1,13 @@
 package memsim
 
 import (
+	"maia/internal/bufpool"
 	"maia/internal/machine"
 	"maia/internal/vclock"
 )
+
+// chaseInts recycles the slow path's permutation and successor buffers.
+var chaseInts bufpool.Pool[int]
 
 // LatencyPoint is one point of the Figure 5 curve: the average load-to-use
 // latency observed when chasing pointers through a working set of the
@@ -32,35 +36,26 @@ func ChaseLatency(h *Hierarchy, workingSetBytes int, seed uint64) LatencyPoint {
 	if n < 4096 {
 		n = 4096
 	}
-	if eng := newChaseUniformSim(h, lines); eng != nil {
-		// Provable serving level: every steady access is served at the
-		// same level whatever the permutation order, so the permutation
-		// is never built and the whole chase prices arithmetically.
-		eng.run(lines, nil, nil)
-		eng.run(n, &total, nil)
-		eng.finish()
-		return LatencyPoint{
-			WorkingSetBytes: workingSetBytes,
-			LatencyNs:       total.Nanoseconds() / float64(n),
-		}
-	}
-	// Random cyclic permutation of the lines, walked starting at line 0.
-	rng := vclock.NewRNG(seed)
-	perm := steadyInt.Get(lines)
-	rng.PermInto(perm)
-	if eng := newChaseSim(h, perm); eng != nil {
-		// Steady-state replay: warm-up cycle, then the measured loads.
-		steadyInt.Put(perm)
-		eng.run(lines, nil, nil)
-		eng.run(n, &total, nil)
-		eng.finish()
+	// On 64-byte hierarchy lines the chase visits lines 0..lines-1, one
+	// access each per cycle (no same-line follow-ups): a contiguous walk
+	// whose serving level, when provable, does not depend on the visit
+	// order, so the permutation is never built.
+	if u := newUniformSim(h, lines, lineBytes); u != nil && u.extra == 0 {
+		// Warm-up cycle, then the measured loads.
+		u.run(lines, nil, nil)
+		u.run(n, &total, nil)
 	} else {
-		// Slow path: a real next-pointer walk. next[i] = successor line.
-		next := steadyInt.Get(lines)
+		// Slow path: a real next-pointer walk over a random cyclic
+		// permutation of the lines, starting at line 0. next[i] =
+		// successor line.
+		rng := vclock.NewRNG(seed)
+		perm := chaseInts.Get(lines)
+		rng.PermInto(perm)
+		next := chaseInts.Get(lines)
 		for i := 0; i < lines; i++ {
 			next[perm[i]] = perm[(i+1)%lines]
 		}
-		steadyInt.Put(perm)
+		chaseInts.Put(perm)
 		// Warm-up pass: touch every line once.
 		idx := 0
 		for i := 0; i < lines; i++ {
@@ -73,7 +68,7 @@ func ChaseLatency(h *Hierarchy, workingSetBytes int, seed uint64) LatencyPoint {
 			total += lat
 			idx = next[idx]
 		}
-		steadyInt.Put(next)
+		chaseInts.Put(next)
 	}
 	return LatencyPoint{
 		WorkingSetBytes: workingSetBytes,

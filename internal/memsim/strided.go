@@ -30,25 +30,7 @@ func StridedBandwidth(h *Hierarchy, proc machine.ProcessorSpec, workingSetBytes,
 		passes = 4096/accesses + 1
 	}
 	counts := make([]uint64, len(h.levels)+1)
-	eng := newStridedAllMissSim(h, accesses, uint64(strideBytes))
-	if eng == nil {
-		eng = newStridedSim(h, accesses, uint64(strideBytes))
-	}
-	if eng != nil {
-		// Steady-state replay: one warm-up pass, then the measured passes.
-		eng.run(eng.period, nil, nil)
-		for p := 0; p < passes; p++ {
-			eng.run(eng.period, nil, counts)
-		}
-		eng.finish()
-	} else {
-		// Warm-up pass. Small strides ride AccessRange's analytic fast
-		// path: only line-boundary accesses walk the LRU state.
-		h.AccessRange(0, accesses, uint64(strideBytes))
-		for p := 0; p < passes; p++ {
-			h.AccessRangeInto(counts, 0, accesses, uint64(strideBytes))
-		}
-	}
+	streamPasses(h, counts, accesses, uint64(strideBytes), passes)
 	// Bottleneck accounting: the core consumes elemBytes per access from
 	// L1; every level below moves a whole line per access it serves.
 	// Streaming overlaps the levels, so the slowest level's traffic sets
