@@ -36,6 +36,15 @@ import (
 	"maia/internal/maiad"
 )
 
+// Connection timeouts. A client that never finishes its request headers,
+// or parks an idle keep-alive connection, is cut off instead of holding
+// the connection forever. There is deliberately no write timeout: a
+// cold job may legitimately render for a long time.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -78,7 +87,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		ready <- ln.Addr().String()
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 
@@ -102,6 +111,15 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		snap.CacheHits, snap.CacheMisses, snap.Coalesced, snap.EngineRuns,
 		snap.JobErrors, srv.Cache().Len())
 	return nil
+}
+
+// newHTTPServer wraps h in the daemon's HTTP server settings.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // goldenSource prefers the on-disk snapshot directory (freshest when

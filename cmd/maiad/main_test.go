@@ -73,3 +73,23 @@ func TestBadFlags(t *testing.T) {
 		t.Fatal("bad listen address accepted")
 	}
 }
+
+// The server cuts off clients that stall their headers or idle on a
+// keep-alive connection, but never times out a response: cold jobs may
+// legitimately render for a long time.
+func TestHTTPServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	hs := newHTTPServer(h)
+	if hs.Handler != h {
+		t.Errorf("handler not installed")
+	}
+	if hs.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != 120*time.Second {
+		t.Errorf("IdleTimeout = %v, want 120s", hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v; want none", hs.WriteTimeout, hs.ReadTimeout)
+	}
+}

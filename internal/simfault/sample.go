@@ -82,8 +82,7 @@ var sampleCatalog = sync.OnceValue(func() map[string]*Plan {
 // Callers that key behavior on the name alone (the fleet's price-table
 // lookups) avoid the per-node plan copy.
 func SampleCondition(seed uint64, node int) string {
-	rng := vclock.NewRNG(EventSeed(seed, node, streamCondition, 0))
-	pick := rng.Intn(1000)
+	pick := Intn(seed, node, streamCondition, 0, 1000)
 	for _, c := range conditionWeights {
 		if pick < c.weight {
 			return c.name
@@ -115,6 +114,12 @@ func SamplePlan(seed uint64, node int) *Plan {
 // (a, b, c) under seed.
 func Uniform(seed uint64, a, b, c int) float64 {
 	return vclock.NewRNG(EventSeed(seed, a, b, c)).Float64()
+}
+
+// Intn returns a deterministic draw in [0, n) for the event identity
+// (a, b, c) under seed; n must be positive.
+func Intn(seed uint64, a, b, c, n int) int {
+	return vclock.NewRNG(EventSeed(seed, a, b, c)).Intn(n)
 }
 
 // Exp returns a deterministic exponential draw with the given mean for

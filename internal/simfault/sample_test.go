@@ -99,3 +99,22 @@ func TestEventSeedIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestIntnMatchesKeyedRNG pins Intn to the expression the fleet's class,
+// placement and condition draws spelled out before it existed, so
+// routing them through Intn leaves every draw unchanged.
+func TestIntnMatchesKeyedRNG(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 1 << 40} {
+		for a := 0; a < 40; a++ {
+			for _, b := range []int{1, 2, 5, 101} {
+				for _, n := range []int{1, 3, 7, 64, 512, 1000} {
+					got := Intn(seed, a, b, a%3, n)
+					want := vclock.NewRNG(EventSeed(seed, a, b, a%3)).Intn(n)
+					if got != want {
+						t.Fatalf("Intn(%d, %d, %d, %d, %d) = %d, want %d", seed, a, b, a%3, n, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -133,22 +133,24 @@ type event struct {
 	epoch int
 }
 
-// eventHeap is a binary min-heap of events ordered by (time, push
-// sequence). The sequence tie-break makes (at, seq) a total order, so
-// the pop sequence is a pure function of the push history — any correct
-// priority queue yields the same one. Hand-rolled rather than
-// container/heap because heap.Push boxes each event into an interface:
-// one heap allocation per scheduled event, the fleet loop's dominant
-// malloc source.
+// before orders events by time, then schedule sequence. The sequence
+// tie-break makes (at, seq) a total order, so the order events fire in
+// is a pure function of the schedule history, whichever queue holds
+// them.
+func before(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of events ordered by before. Hand-rolled
+// rather than container/heap because heap.Push boxes each event into an
+// interface: one heap allocation per scheduled event, the fleet loop's
+// dominant malloc source.
 type eventHeap []event
 
-// less orders by time, then push sequence.
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) less(i, j int) bool { return before(&h[i], &h[j]) }
 
 // push inserts e and sifts it up.
 func (h *eventHeap) push(e event) {
@@ -295,6 +297,13 @@ type sim struct {
 	events  eventHeap
 	seq     uint64
 	now     vclock.Time
+	// arrival is the one pending job arrival, held beside the heap rather
+	// than in it (every arrival schedules the next, so there is never more
+	// than one): that saves a push and a pop per job, about half the heap
+	// traffic. hasArrival is false once the next arrival falls past the
+	// horizon.
+	arrival    event
+	hasArrival bool
 
 	// queue[qhead:] is the pending-job FIFO: popping the front advances
 	// qhead instead of re-slicing (which makes append grow a fresh
@@ -382,8 +391,11 @@ func Run(cfg Config) (Stats, error) {
 		s.push(event{at: cfg.HealthEvery, kind: evHealth})
 	}
 
-	for len(s.events) > 0 {
-		e := s.events.pop()
+	for {
+		e, ok := s.next()
+		if !ok {
+			break
+		}
 		s.now = e.at
 		switch e.kind {
 		case evArrival:
@@ -439,6 +451,19 @@ func (s *sim) push(e event) {
 	s.events.push(e)
 }
 
+// next removes and returns the earliest pending event by (at, seq) —
+// the arrival slot or the heap top — or reports false when none is left.
+func (s *sim) next() (event, bool) {
+	if s.hasArrival && (len(s.events) == 0 || before(&s.arrival, &s.events[0])) {
+		s.hasArrival = false
+		return s.arrival, true
+	}
+	if len(s.events) == 0 {
+		return event{}, false
+	}
+	return s.events.pop(), true
+}
+
 // enqueue appends a job to the pending FIFO, first compacting the
 // drained prefix so a long-lived queue reuses its backing array instead
 // of growing past it.
@@ -452,18 +477,21 @@ func (s *sim) enqueue(j job) {
 }
 
 // pushArrival schedules the next job arrival from the seeded
-// exponential interarrival stream.
+// exponential interarrival stream into the arrival slot. Like push, it
+// consumes a sequence number even when the arrival falls past the
+// horizon and leaves the slot empty.
 func (s *sim) pushArrival() {
-	gap := simfault.Exp(s.meanInter, s.cfg.Seed, s.arrivalK, sbArrival, 0)
-	s.lastArrival += gap
-	s.push(event{at: s.lastArrival, kind: evArrival})
+	s.lastArrival += simfault.Exp(s.meanInter, s.cfg.Seed, s.arrivalK, sbArrival, 0)
+	s.arrival = event{at: s.lastArrival, seq: s.seq, kind: evArrival}
+	s.seq++
+	s.hasArrival = s.arrival.at <= s.cfg.Duration
 }
 
 // arrive enqueues the arriving job, schedules the next arrival, and
 // tries to place work.
 func (s *sim) arrive() {
 	id := s.arrivalK
-	class := Class(vclock.NewRNG(simfault.EventSeed(s.cfg.Seed, id, sbClass, 0)).Intn(int(numClasses)))
+	class := Class(simfault.Intn(s.cfg.Seed, id, sbClass, 0, int(numClasses)))
 	s.arrivalK++
 	s.stats.Arrivals++
 	s.enqueue(job{id: id, class: class, arrival: s.now})
@@ -539,8 +567,7 @@ func (s *sim) pickNode() int {
 		return i
 	case policyRandom:
 		// A seeded uniform draw among the eligible nodes in index order.
-		rng := vclock.NewRNG(simfault.EventSeed(s.cfg.Seed, s.dispatchK, sbPlace, 0))
-		return s.nthIdle(rng.Intn(s.nIdle))
+		return s.nthIdle(simfault.Intn(s.cfg.Seed, s.dispatchK, sbPlace, 0, s.nIdle))
 	default: // least-loaded
 		return int(s.byLoad.e[0].node)
 	}

@@ -9,13 +9,16 @@
 // throughput, utilization, queue-latency, and recovery-vs-MTBF curves.
 //
 // Determinism is the same contract as everywhere else in this
-// repository: the event loop is single-threaded over a (time, sequence)
-// priority queue, and every random decision — condition draws, job
-// interarrivals and classes, failure gaps, repair jitter, random
+// repository: the event loop is single-threaded and fires events in
+// (time, sequence) order, and every random decision — condition draws,
+// job interarrivals and classes, failure gaps, repair jitter, random
 // placement — is a pure function of (seed, identity, draw index) via
-// simfault.EventSeed. Job pricing is closed-form and precomputed into a
-// PriceTable, so a fleet run costs O(events), not O(simulated ranks),
-// and building the table in parallel is byte-identical to sequential.
+// simfault.EventSeed. Completions, failures, repairs and health ticks
+// wait in a binary heap; the one pending job arrival waits in a slot
+// beside it, and the loop takes whichever comes first. Job pricing is
+// closed-form and precomputed into a PriceTable, so a fleet run costs
+// O(events), not O(simulated ranks), and building the table in
+// parallel is byte-identical to sequential.
 package simfleet
 
 import (
