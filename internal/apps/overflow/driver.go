@@ -213,10 +213,23 @@ func SymmetricStepProfile(m core.Model, node *machine.Node, cfg SymmetricConfig)
 	return t, prof, err
 }
 
+// phiBalanceBias is how much the production balancer overestimates a
+// Phi rank's speed: its weights come from kernel benchmarks and card
+// peak, while delivered OVERFLOW throughput is bandwidth-bound and
+// zone-shape-sensitive. The resulting overload of the Phi ranks is the
+// "overhead due to load imbalance" of Section 6.9.1.3. The static
+// balancer is also blind to degradation a fault plan injects — that
+// blindness is what SymmetricStepRebalanced repairs.
+const phiBalanceBias = 1.5
+
 // symmetricSetup builds the rank placement of a symmetric run and the
 // production balancer's estimated per-rank speeds.
 func symmetricSetup(m core.Model, node *machine.Node, cfg SymmetricConfig) (
 	locs []simmpi.Location, combos []Combo, devs []machine.Device, speeds []float64) {
+	n := cfg.HostCombo.Ranks + 2*cfg.PhiCombo.Ranks
+	locs = make([]simmpi.Location, 0, n)
+	combos = make([]Combo, 0, n)
+	devs = make([]machine.Device, 0, n)
 	hostTpc := rankPartition(node, machine.Host, cfg.HostCombo).ThreadsPerCore
 	for i := 0; i < cfg.HostCombo.Ranks; i++ {
 		locs = append(locs, simmpi.Location{Device: machine.Host, ThreadsPerCore: hostTpc})
@@ -231,14 +244,7 @@ func symmetricSetup(m core.Model, node *machine.Node, cfg SymmetricConfig) (
 			devs = append(devs, phi)
 		}
 	}
-	// Load balance by estimated rank speed. The production balancer
-	// overestimates the Phi: its weights come from kernel benchmarks and
-	// card peak, while delivered OVERFLOW throughput is bandwidth-bound
-	// and zone-shape-sensitive. The resulting overload of the Phi ranks
-	// is the "overhead due to load imbalance" of Section 6.9.1.3. The
-	// static balancer is also blind to degradation a fault plan injects —
-	// that blindness is what SymmetricStepRebalanced repairs.
-	const phiBalanceBias = 1.5
+	// Load balance by estimated rank speed, biased by phiBalanceBias.
 	speeds = make([]float64, len(locs))
 	unit := workloadFor(1_000_000)
 	for i := range speeds {
@@ -290,11 +296,14 @@ func SymmetricStepRebalanced(m core.Model, node *machine.Node, cfg SymmetricConf
 
 // stepScript expresses one representative OVERFLOW step as a SeqStep
 // script: the per-rank OMP-region compute (already priced by the
-// steady slowdown math in rankStepTime), the fringe exchange as one
-// shifted-ring step per partner with per-rank payload sizes, and the
-// residual allreduce. The shift normalization mirrors the goroutine
-// body's dst==id/src==id fallbacks: a shift that is a multiple of the
-// rank count degenerates to the one-rank shift on every rank.
+// steady slowdown math in rankStepTime), the overset fringe exchange,
+// and the residual allreduce. Each zone's fringe points are
+// interpolated from donor zones scattered across the grid system, so
+// every rank trades fringe data with a handful of partners — not just
+// chain neighbours: one shifted-ring step per partner, with per-rank
+// payloads of the rank's fringe volume (~15% of its points at 7
+// variables of 8 bytes) split over the partners. A shift that is a
+// multiple of the rank count degenerates to the one-rank shift.
 func stepScript(computes []vclock.Time, assignment [][]Piece) []simmpi.SeqStep {
 	ranks := len(computes)
 	steps := make([]simmpi.SeqStep, 0, 5)
@@ -324,17 +333,6 @@ func stepScript(computes []vclock.Time, assignment [][]Piece) []simmpi.SeqStep {
 	return steps
 }
 
-// SymmetricStepReplay prices one representative step in closed form on
-// the clock-vector replay: the per-rank OMP regions charge as compute,
-// and the fringe/residual exchanges replay through the step script. ok
-// is false when the world refuses the fast path — fault plans,
-// heterogeneous placement (every Figure 23 symmetric world), fewer
-// than two ranks, or MAIA_NO_FASTPATH — and the goroutine engine runs
-// instead.
-func SymmetricStepReplay(w *simmpi.World, computes []vclock.Time, assignment [][]Piece) (vclock.Time, bool) {
-	return w.RepeatSeq(stepScript(computes, assignment), 1)
-}
-
 // runStepMixed executes one representative step on a (possibly
 // heterogeneous) world, returning the makespan, the MPI profile, and
 // each rank's observed compute time (the signal the dynamic rebalancer
@@ -343,10 +341,10 @@ func SymmetricStepReplay(w *simmpi.World, computes []vclock.Time, assignment [][
 // stragglers and throttle windows.
 //
 // Homogeneous healthy worlds (the Figure 22 ranks x threads sweep)
-// price through SymmetricStepReplay instead of running goroutines; on
-// that path the observed compute IS the charged compute (no plan to
-// derate it) and the profile summary is zero — the profile-consuming
-// callers all build heterogeneous worlds, which never take the replay.
+// replay the step script in closed form; on that path the observed
+// compute IS the charged compute (no plan to derate it) and the profile
+// summary is zero — the profile-consuming callers all build
+// heterogeneous worlds, which run the script on the goroutine engine.
 func runStepMixed(m core.Model, node *machine.Node, combos []Combo, devs []machine.Device,
 	assignment [][]Piece, locs []simmpi.Location, stack *pcie.Stack,
 	plan *simfault.Plan) (vclock.Time, simmpi.ProfileSummary, []vclock.Time, error) {
@@ -362,11 +360,11 @@ func runStepMixed(m core.Model, node *machine.Node, combos []Combo, devs []machi
 	for i := range computes {
 		computes[i] = rankStepTime(m, node, devs[i], combos[i], assignment[i])
 	}
-	if t, ok := SymmetricStepReplay(w, computes, assignment); ok {
+	steps := stepScript(computes, assignment)
+	if t, ok := w.RepeatSeq(steps, 1); ok {
 		return t, simmpi.ProfileSummary{}, computes, nil
 	}
-	err = w.Run(func(r *simmpi.Rank) { stepBody(r, computes, assignment) })
-	if err != nil {
+	if err := w.RunSeq(steps, 1); err != nil {
 		return 0, simmpi.ProfileSummary{}, nil, err
 	}
 	observed := make([]vclock.Time, ranks)
@@ -374,46 +372,6 @@ func runStepMixed(m core.Model, node *machine.Node, combos []Combo, devs []machi
 		observed[i] = p.Compute
 	}
 	return w.MaxTime(), w.Summarize(), observed, nil
-}
-
-// stepBody is the goroutine-engine execution of one representative
-// step: the fallback SymmetricStepReplay is pinned against, and the
-// only path under fault plans, heterogeneous placement, or
-// MAIA_NO_FASTPATH.
-func stepBody(r *simmpi.Rank, computes []vclock.Time, assignment [][]Piece) {
-	id := r.ID()
-	ranks := r.Size()
-	r.Compute(computes[id])
-	if ranks > 1 {
-		// Overset fringe exchange: each zone's fringe points are
-		// interpolated from donor zones scattered across the grid
-		// system, so every rank trades fringe data with a handful
-		// of partners — not just chain neighbours. Fringe volume is
-		// ~8% of the rank's points at 7 variables of 8 bytes.
-		fringeBytes := int(0.15 * float64(Load(assignment[id])) * 56)
-		partners := 3
-		if partners > ranks-1 {
-			partners = ranks - 1
-		}
-		per := fringeBytes / partners
-		if per < 64 {
-			per = 64
-		}
-		fringe := simmpi.GetPayload(per)
-		for p := 1; p <= partners; p++ {
-			dst := (id + p*ranks/(partners+1) + 1) % ranks
-			if dst == id {
-				dst = (id + 1) % ranks
-			}
-			src := (id - p*ranks/(partners+1) - 1 + ranks) % ranks
-			if src == id {
-				src = (id - 1 + ranks) % ranks
-			}
-			simmpi.Recycle(r.Sendrecv(dst, p, fringe, src, p))
-		}
-		simmpi.Recycle(fringe)
-	}
-	r.AllreduceSum(1)
 }
 
 // HostOnlyStepTime prices DLRF6-Large on the host alone (16x1) — the

@@ -69,38 +69,12 @@ func RackStepTime(m core.Model, node *machine.Node, cfg RackConfig, opts ...simm
 	nodePoints := d.TotalPoints() / int64(cfg.Nodes)
 
 	// Local placement and balancer-estimated speeds, identical on every
-	// node. The same phiBalanceBias as symmetricSetup: the static
-	// balancer overfeeds the Phi ranks.
-	locs := make([]simmpi.Location, 0, per)
-	combos := make([]Combo, 0, per)
-	devs := make([]machine.Device, 0, per)
-	hostTpc := rankPartition(node, machine.Host, cfg.HostCombo).ThreadsPerCore
-	for i := 0; i < cfg.HostCombo.Ranks; i++ {
-		locs = append(locs, simmpi.Location{Device: machine.Host, ThreadsPerCore: hostTpc})
-		combos = append(combos, cfg.HostCombo)
-		devs = append(devs, machine.Host)
-	}
-	if cfg.PhiCombo.Ranks > 0 {
-		for _, phi := range []machine.Device{machine.Phi0, machine.Phi1} {
-			tpc := rankPartition(node, phi, cfg.PhiCombo).ThreadsPerCore
-			for i := 0; i < cfg.PhiCombo.Ranks; i++ {
-				locs = append(locs, simmpi.Location{Device: phi, ThreadsPerCore: tpc})
-				combos = append(combos, cfg.PhiCombo)
-				devs = append(devs, phi)
-			}
-		}
-	}
-	const phiBalanceBias = 1.5
-	speeds := make([]float64, per)
-	unit := workloadFor(1_000_000)
+	// node: the static balancer overfeeds the Phi ranks as in Figure 23.
+	locs, combos, devs, speeds := symmetricSetup(m, node,
+		SymmetricConfig{HostCombo: cfg.HostCombo, PhiCombo: cfg.PhiCombo})
 	var totalSpeed float64
-	for i := range speeds {
-		full := devicePartition(node, devs[i], combos[i])
-		speeds[i] = unit.Flops / m.Time(unit, full).Seconds() / float64(combos[i].Ranks)
-		if devs[i].IsPhi() {
-			speeds[i] *= phiBalanceBias
-		}
-		totalSpeed += speeds[i]
+	for _, sp := range speeds {
+		totalSpeed += sp
 	}
 
 	// Continuous biased split of the node's points (the splitter's

@@ -11,11 +11,12 @@ import (
 	"maia/internal/vclock"
 )
 
-// The hybrid step replay's exactness contract: on every homogeneous
-// healthy world of Figure 22, SymmetricStepReplay must reproduce the
-// goroutine engine's makespan bit for bit, and on every world it cannot
-// price (heterogeneous, faulted, single-rank) it must refuse so the
-// engine stays authoritative.
+// The step script's exactness contract: on every homogeneous healthy
+// world of Figure 22, the closed-form replay of stepScript (RepeatSeq)
+// must reproduce the goroutine engine's run of the same script (RunSeq)
+// bit for bit, and on every world it cannot price (heterogeneous,
+// faulted, single-rank) it must refuse so the engine stays
+// authoritative.
 
 // stepInputs mirrors StepTime's world construction: equal-speed
 // decomposition, one location per rank, and the per-rank compute charge
@@ -42,7 +43,7 @@ func stepInputs(t *testing.T, m core.Model, node *machine.Node, dev machine.Devi
 }
 
 // TestStepReplayMatchesGoroutineRun drives the replay and the goroutine
-// body over the full Figure 22 combo catalog on both datasets and
+// engine over the full Figure 22 combo catalog on both datasets and
 // demands bit-identical makespans.
 func TestStepReplayMatchesGoroutineRun(t *testing.T) {
 	if os.Getenv("MAIA_NO_FASTPATH") != "" {
@@ -71,7 +72,8 @@ func TestStepReplayMatchesGoroutineRun(t *testing.T) {
 				}
 				return w
 			}
-			fast, ok := SymmetricStepReplay(mk(), computes, assignment)
+			steps := stepScript(computes, assignment)
+			fast, ok := mk().RepeatSeq(steps, 1)
 			if cs.c.Ranks < 2 {
 				if ok {
 					t.Errorf("%s %v: replay accepted a single-rank world", cs.dev, cs.c)
@@ -82,7 +84,7 @@ func TestStepReplayMatchesGoroutineRun(t *testing.T) {
 				t.Fatalf("%s %v: replay refused a homogeneous healthy world", cs.dev, cs.c)
 			}
 			slow := mk()
-			if err := slow.Run(func(r *simmpi.Rank) { stepBody(r, computes, assignment) }); err != nil {
+			if err := slow.RunSeq(steps, 1); err != nil {
 				t.Fatal(err)
 			}
 			if fast != slow.MaxTime() {
@@ -116,7 +118,8 @@ func TestStepReplayRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := SymmetricStepReplay(wm, computes, assignment); ok {
+	steps := stepScript(computes, assignment)
+	if _, ok := wm.RepeatSeq(steps, 1); ok {
 		t.Error("replay accepted the heterogeneous symmetric world")
 	}
 
@@ -126,7 +129,7 @@ func TestStepReplayRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := SymmetricStepReplay(wf, computes, assignment); ok {
+	if _, ok := wf.RepeatSeq(steps, 1); ok {
 		t.Error("replay accepted a faulted world")
 	}
 }

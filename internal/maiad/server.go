@@ -179,7 +179,10 @@ var errFleetEndpoint = errors.New("fleet jobs are served by POST /v1/fleet")
 
 // errorCode maps a typed validation error to its wire code.
 func errorCode(err error) (string, int) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return "request_too_large", http.StatusRequestEntityTooLarge
 	case errors.Is(err, harness.ErrUnknownExperiment):
 		return "unknown_experiment", http.StatusNotFound
 	case errors.Is(err, harness.ErrBadNodes):
@@ -229,11 +232,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// decodeBody decodes an HTTP body that must hold exactly one JSON value
-// with no unknown fields: anything after the value is an error, so a
-// second concatenated spec is refused rather than silently dropped.
-func decodeBody(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
+// maxBodyBytes caps a POST body. A JobSpec is a few hundred bytes, so
+// 1 MiB holds a sweep of thousands; a larger body is refused with
+// request_too_large before it is buffered.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes an HTTP request body that must hold exactly one
+// JSON value with no unknown fields: anything after the value is an
+// error, so a second concatenated spec is refused rather than silently
+// dropped. Bodies past maxBodyBytes fail with *http.MaxBytesError.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -245,9 +254,9 @@ func decodeBody(r io.Reader, v any) error {
 }
 
 // decodeSpec reads and validates one JobSpec from an HTTP body.
-func (s *Server) decodeSpec(r io.Reader) (harness.JobSpec, error) {
+func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (harness.JobSpec, error) {
 	var spec harness.JobSpec
-	if err := decodeBody(r, &spec); err != nil {
+	if err := decodeBody(w, r, &spec); err != nil {
 		return harness.JobSpec{}, fmt.Errorf("malformed job spec: %w", err)
 	}
 	if err := spec.Validate(s.reg); err != nil {
@@ -272,7 +281,7 @@ func (s *Server) isFleetSpec(spec harness.JobSpec) bool {
 // Fleet jobs are redirected to their own endpoint so fleet latency
 // never pollutes the plain-job histograms.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	spec, err := s.decodeSpec(r.Body)
+	spec, err := s.decodeSpec(w, r)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -290,7 +299,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // plain-job path, so an identical fleet spec is computed exactly once
 // no matter which clients race it.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	spec, err := s.decodeSpec(r.Body)
+	spec, err := s.decodeSpec(w, r)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -441,7 +450,7 @@ type SweepResponse struct {
 // existing parallel experiment engine in one pass.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, fmt.Errorf("malformed sweep request: %w", err))
 		return
 	}

@@ -309,6 +309,8 @@ func TestJobErrorTaxonomy(t *testing.T) {
 		{"unknown field", `{"experiment":"table1","surprise":1}`, "bad_request", http.StatusBadRequest},
 		{"malformed json", `{`, "bad_request", http.StatusBadRequest},
 		{"trailing data", `{"experiment":"table1"} {"experiment":"fig5"}`, "bad_request", http.StatusBadRequest},
+		{"oversized body", `{"experiment":"table1"` + strings.Repeat(" ", maxBodyBytes) + `}`,
+			"request_too_large", http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -326,6 +328,14 @@ func TestJobErrorTaxonomy(t *testing.T) {
 	body := `{"specs":[{"experiment":"table1"}]} {"specs":[{"experiment":"fig5"}]}`
 	if code := postJob(t, ts.URL+"/v1/sweeps", body, &er); code != http.StatusBadRequest || er.Code != "bad_request" {
 		t.Errorf("sweep trailing data: status=%d code=%q (%s)", code, er.Code, er.Error)
+	}
+	// The other two POST bodies share the cap.
+	for _, path := range []string{"/v1/sweeps", "/v1/fleet"} {
+		er = ErrorResponse{}
+		big := "{" + strings.Repeat(" ", maxBodyBytes)
+		if code := postJob(t, ts.URL+path, big, &er); code != http.StatusRequestEntityTooLarge || er.Code != "request_too_large" {
+			t.Errorf("%s oversized body: status=%d code=%q (%s)", path, code, er.Code, er.Error)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/deadbeef")

@@ -11,9 +11,9 @@ import (
 )
 
 // MPI driver (Figure 20): each benchmark's per-iteration communication
-// pattern runs for real through the simmpi runtime (one representative
-// iteration; iterations are identical, so the total is iters times the
-// per-iteration makespan), with the rank's compute share charged from
+// pattern is a simmpi script (seq.go) priced for one representative
+// iteration — iterations are identical, so the total is iters times the
+// per-iteration makespan — with the rank's compute share charged from
 // the core model.
 
 // ErrOOM is returned when a benchmark does not fit in the target
@@ -98,31 +98,17 @@ func MPIRun(m core.Model, b Benchmark, c Class, dev machine.Device, ranks int, n
 	// decompositions are balanced).
 	computePerIter := m.Time(w, part) / vclock.Time(s.Iters)
 
-	// The iteration scripts only ever use payload sizes (results are
-	// recycled unread), so the world runs in size-only transport mode.
-	cfg := simmpi.Config{SizeOnlyPayloads: true}
+	var cfg simmpi.Config
 	if dev.IsPhi() {
 		cfg.Ranks = simmpi.PhiPlacement(dev, ranks, tpc)
 	} else {
 		cfg.Ranks = simmpi.HostPlacement(ranks, tpc)
 	}
-	world, err := simmpi.NewWorld(cfg)
+	// One representative iteration, scaled by the iteration count:
+	// iterations are identical.
+	perIter, err := simmpi.SeqTime(cfg, iterationSeq(b, s, ranks, computePerIter), 1)
 	if err != nil {
 		return MPIResult{}, err
-	}
-	var perIter vclock.Time
-	if t, ok := iterationReplay(world, b, s, computePerIter); ok {
-		// Closed form: the iteration script replayed through the
-		// symmetric-clock engines (seq.go) — bit-identical to the
-		// goroutine run across the whole rank sweep.
-		perIter = t
-	} else {
-		if err := world.Run(func(r *simmpi.Rank) {
-			iterationScript(b, s, computePerIter, r)
-		}); err != nil {
-			return MPIResult{}, err
-		}
-		perIter = world.MaxTime()
 	}
 	total := perIter * vclock.Time(s.Iters)
 
@@ -131,123 +117,4 @@ func MPIRun(m core.Model, b Benchmark, c Class, dev machine.Device, ranks int, n
 		Time:   total,
 		Gflops: w.Flops / total.Seconds() / 1e9,
 	}, nil
-}
-
-// iterationScript runs ONE representative iteration of the benchmark's
-// communication pattern on rank r, with the compute share charged along
-// the way. Payload sizes follow the benchmark's decomposition.
-//
-// Only sizes matter to the model (payload contents are never read), so
-// send buffers are hoisted out of the loops and drawn from the free
-// lists, and received payloads recycle as soon as they return — the
-// per-message allocation churn this removed was most of Figure 20's
-// host wall-clock.
-func iterationScript(b Benchmark, s Size, compute vclock.Time, r *simmpi.Rank) {
-	n := r.Size()
-	id := r.ID()
-	pts := float64(s.Points())
-	switch b {
-	case EP:
-		r.Compute(compute)
-		simmpi.RecycleF64(r.Allreduce(make([]float64, 12), simmpi.OpSum)) // sx, sy, q[10]
-	case CG:
-		// 25 CG steps: halo exchange with the transpose partner for the
-		// matvec, then three dot-product allreduces.
-		rowBytes := int(8 * float64(s.N) / math.Sqrt(float64(n)))
-		partner := id ^ 1
-		row := bytePool.Get(rowBytes)
-		for step := 0; step < 25; step++ {
-			r.Compute(compute / 25)
-			if n > 1 {
-				simmpi.Recycle(r.Sendrecv(partner, 0, row, partner, 0))
-			}
-			for d := 0; d < 3; d++ {
-				r.AllreduceSum(1)
-			}
-		}
-		bytePool.Put(row)
-	case MG:
-		// Halo exchanges on every level: 6 faces, shrinking with level.
-		levels := log2(s.Grid[0]) - 1
-		sub := pts / float64(n)
-		face := math.Pow(sub, 2.0/3.0)
-		for l := 0; l < levels; l++ {
-			r.Compute(compute / vclock.Time(levels))
-			faceBytes := int(8 * face / float64(int(1)<<(2*l)))
-			if faceBytes < 8 {
-				faceBytes = 8
-			}
-			if n > 1 {
-				right := (id + 1) % n
-				left := (id - 1 + n) % n
-				fb := bytePool.Get(faceBytes)
-				for f := 0; f < 3; f++ {
-					simmpi.Recycle(r.Sendrecv(right, f, fb, left, f))
-				}
-				bytePool.Put(fb)
-			}
-		}
-		r.AllreduceSum(1)
-	case FT:
-		// The 3D FFT transpose: one all-to-all of the full grid per
-		// iteration, in n blocks per rank.
-		r.Compute(compute)
-		block := int(16 * pts / float64(n) / float64(n))
-		if block < 16 {
-			block = 16
-		}
-		buf := bytePool.Get(n * block)
-		simmpi.Recycle(r.Alltoall(buf, block))
-		bytePool.Put(buf)
-	case IS:
-		r.Compute(compute)
-		block := int(4 * float64(s.N) / float64(n) / float64(n))
-		if block < 4 {
-			block = 4
-		}
-		buf := bytePool.Get(n * block)
-		simmpi.Recycle(r.Alltoall(buf, block))
-		bytePool.Put(buf)
-		simmpi.RecycleF64(r.Allreduce(make([]float64, 4), simmpi.OpSum))
-	case LU:
-		// Wavefront pipeline: each hyperplane's boundary flows to the
-		// next rank; two sweeps per iteration.
-		planes := 2 * s.Grid[0]
-		msg := int(8 * ncomp * float64(s.Grid[0]))
-		plane := bytePool.Get(msg)
-		for p := 0; p < planes; p++ {
-			if id > 0 {
-				simmpi.Recycle(r.Recv(id-1, p))
-			}
-			r.Compute(compute / vclock.Time(planes))
-			if id < n-1 {
-				r.Send(id+1, p, plane)
-			}
-		}
-		bytePool.Put(plane)
-	case BT, SP:
-		// Square process grid: face exchanges with four neighbors per
-		// directional sweep.
-		side := int(math.Round(math.Sqrt(float64(n))))
-		row, col := id/side, id%side
-		faceBytes := int(8 * ncomp * math.Pow(pts/float64(n), 2.0/3.0))
-		fb := bytePool.Get(faceBytes)
-		for dim := 0; dim < 3; dim++ {
-			r.Compute(compute / 3)
-			if n == 1 {
-				continue
-			}
-			rightCol := row*side + (col+1)%side
-			leftCol := row*side + (col-1+side)%side
-			downRow := ((row+1)%side)*side + col
-			upRow := ((row-1+side)%side)*side + col
-			if rightCol != id {
-				simmpi.Recycle(r.Sendrecv(rightCol, dim, fb, leftCol, dim))
-			}
-			if downRow != id {
-				simmpi.Recycle(r.Sendrecv(downRow, 100+dim, fb, upRow, 100+dim))
-			}
-		}
-		bytePool.Put(fb)
-	}
 }

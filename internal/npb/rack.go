@@ -110,8 +110,10 @@ func RackRun(m core.Model, b Benchmark, c Class, nodes, perNode int, node *machi
 }
 
 // rackScript builds one iteration of b's communication pattern as a
-// script, mirroring the message sizes of iterationScript with the rank
-// count of the whole rack.
+// script, with iterationSeq's message sizes at the rank count of the
+// whole rack. MG's face exchanges are id^1 pairs here: the rack replay
+// prices those, while a ring's node-boundary hops are not
+// index-symmetric.
 func rackScript(b Benchmark, s Size, ranks int, compute vclock.Time) []simmpi.SeqStep {
 	n := ranks
 	pts := float64(s.Points())

@@ -1,52 +1,30 @@
 package npb
 
 import (
+	"fmt"
 	"math"
 
 	"maia/internal/simmpi"
 	"maia/internal/vclock"
 )
 
-// Closed-form pricing of the Figure 20 iteration scripts. Every NPB
-// per-iteration pattern is a fixed sequence of symmetric steps —
-// compute, id^1 pair exchanges, ring shifts, recursive-doubling
-// allreduces, pairwise alltoalls — so on the flat homogeneous worlds
-// MPIRun builds, the whole rank sweep prices through simmpi's replay
-// instead of goroutine-running one representative iteration. LU's
-// wavefront is the one non-lockstep shape; it replays as a pipeline
-// (simmpi.RepeatPipeline). The replay refuses (and MPIRun falls back to
-// the goroutine engine) under fault plans, MAIA_NO_FASTPATH,
-// single-rank worlds, or any step it cannot replay — differential
-// tests pin the two paths bit-identical.
+// The Figure 20 iteration scripts. Every NPB per-iteration pattern is a
+// fixed sequence of simmpi steps — compute, id^1 pair exchanges, ring
+// shifts, allreduces, alltoalls, and LU's wavefront rounds — and the
+// script is its only description: MPIRun prices it through
+// simmpi.SeqTime, which replays it in closed form on the flat
+// homogeneous worlds MPIRun builds and runs it on the goroutine engine
+// (simmpi.RunSeq) where the replay refuses: MAIA_NO_FASTPATH,
+// single-rank worlds, or a step it cannot replay.
 
-// iterationReplay prices one representative iteration of b in closed
-// form, or reports ok=false when the goroutine engine is needed.
-func iterationReplay(w *simmpi.World, b Benchmark, s Size, compute vclock.Time) (vclock.Time, bool) {
-	if b == LU {
-		// Wavefront pipeline: two sweeps of Grid[0] hyperplanes, each
-		// flowing one boundary plane to the next rank.
-		planes := 2 * s.Grid[0]
-		msg := int(8 * ncomp * float64(s.Grid[0]))
-		return w.RepeatPipeline(msg, planes, compute/vclock.Time(planes))
-	}
-	steps, ok := iterationSeq(b, s, w.Size(), compute)
-	if !ok {
-		return 0, false
-	}
-	return w.RepeatSeq(steps, 1)
-}
-
-// iterationSeq expresses one iteration of b as a SeqStep script. It
-// must mirror iterationScript operation for operation — same payload
-// sizes, same compute charges, same order — so the replayed clock
-// recurrences are the goroutine engine's, bit for bit. Benchmarks whose
-// per-rank control flow cannot be a lockstep script (LU's wavefront)
-// return ok=false.
-func iterationSeq(b Benchmark, s Size, n int, compute vclock.Time) ([]simmpi.SeqStep, bool) {
+// iterationSeq expresses one iteration of b on n ranks as a script,
+// with the rank's compute share charged along the way. Payload sizes
+// follow the benchmark's decomposition.
+func iterationSeq(b Benchmark, s Size, n int, compute vclock.Time) []simmpi.SeqStep {
 	pts := float64(s.Points())
 	switch b {
 	case EP:
-		return []simmpi.SeqStep{{Compute: compute, Kind: simmpi.AllreduceKind, Bytes: 96}}, true
+		return []simmpi.SeqStep{{Compute: compute, Kind: simmpi.AllreduceKind, Bytes: 96}}
 	case CG:
 		rowBytes := int(8 * float64(s.N) / math.Sqrt(float64(n)))
 		steps := make([]simmpi.SeqStep, 0, 25*4)
@@ -61,7 +39,7 @@ func iterationSeq(b Benchmark, s Size, n int, compute vclock.Time) ([]simmpi.Seq
 				simmpi.SeqStep{Kind: simmpi.AllreduceKind, Bytes: 8},
 				simmpi.SeqStep{Kind: simmpi.AllreduceKind, Bytes: 8})
 		}
-		return steps, true
+		return steps
 	case MG:
 		levels := log2(s.Grid[0]) - 1
 		sub := pts / float64(n)
@@ -83,13 +61,13 @@ func iterationSeq(b Benchmark, s Size, n int, compute vclock.Time) ([]simmpi.Seq
 			}
 		}
 		steps = append(steps, simmpi.SeqStep{Kind: simmpi.AllreduceKind, Bytes: 8})
-		return steps, true
+		return steps
 	case FT:
 		block := int(16 * pts / float64(n) / float64(n))
 		if block < 16 {
 			block = 16
 		}
-		return []simmpi.SeqStep{{Compute: compute, Kind: simmpi.AlltoallKind, Bytes: block}}, true
+		return []simmpi.SeqStep{{Compute: compute, Kind: simmpi.AlltoallKind, Bytes: block}}
 	case IS:
 		block := int(4 * float64(s.N) / float64(n) / float64(n))
 		if block < 4 {
@@ -98,11 +76,32 @@ func iterationSeq(b Benchmark, s Size, n int, compute vclock.Time) ([]simmpi.Seq
 		return []simmpi.SeqStep{
 			{Compute: compute, Kind: simmpi.AlltoallKind, Bytes: block},
 			{Kind: simmpi.AllreduceKind, Bytes: 32},
-		}, true
+		}
+	case LU:
+		// Wavefront pipeline: two sweeps of Grid[0] hyperplanes, each
+		// flowing one boundary plane to the next rank.
+		planes := 2 * s.Grid[0]
+		step := simmpi.SeqStep{
+			Compute: compute / vclock.Time(planes),
+			Kind:    simmpi.PipelineKind,
+			Bytes:   int(8 * ncomp * float64(s.Grid[0])),
+		}
+		steps := make([]simmpi.SeqStep, planes)
+		for p := range steps {
+			steps[p] = step
+		}
+		return steps
 	case BT, SP:
-		// Square process grid: per directional sweep, a column-ring and
-		// a row-ring face exchange. Both rings are symmetric shifts, so
-		// each prices as one ring exchange.
+		// Square process grid: per directional sweep, a face exchange
+		// with the row neighbours, then one with the column neighbours.
+		// The column partner (row+1, col) is rank id+side, a true ring
+		// shift. The row partner (row, col+1) wraps within its row, and
+		// the shift-1 ring stands in for it exactly: MPIRun takes no
+		// fault plan and builds only homogeneous worlds, where every
+		// pair costs the same, so every symmetric permutation — each
+		// rank sending and receiving one equal-sized message — prices
+		// the same.
+		side := int(math.Round(math.Sqrt(float64(n))))
 		faceBytes := int(8 * ncomp * math.Pow(pts/float64(n), 2.0/3.0))
 		steps := make([]simmpi.SeqStep, 0, 6)
 		for dim := 0; dim < 3; dim++ {
@@ -112,10 +111,10 @@ func iterationSeq(b Benchmark, s Size, n int, compute vclock.Time) ([]simmpi.Seq
 			}
 			steps = append(steps,
 				simmpi.SeqStep{Compute: compute / 3, Kind: simmpi.RingKind, Bytes: faceBytes},
-				simmpi.SeqStep{Kind: simmpi.RingKind, Bytes: faceBytes})
+				simmpi.SeqStep{Kind: simmpi.RingKind, Bytes: faceBytes, Shift: side})
 		}
-		return steps, true
+		return steps
 	default:
-		return nil, false
+		panic(fmt.Sprintf("npb: no iteration script for %v", b))
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // TestIterationReplayMatchesGoroutine is the Figure 20 exactness
 // property: for every benchmark's per-iteration script, across the rank
-// counts the figure sweeps (including BT/SP's odd perfect squares) and
-// both device placements, the closed-form replay must reproduce the
-// goroutine engine's makespan BIT for bit.
+// counts the figure sweeps (including BT/SP's odd perfect squares and
+// LU's wavefront) and both device placements, the closed-form replay
+// (RepeatSeq) must reproduce the goroutine engine (RunSeq) BIT for bit.
 func TestIterationReplayMatchesGoroutine(t *testing.T) {
 	noFast := os.Getenv("MAIA_NO_FASTPATH") != ""
 	rankSets := []int{2, 4, 9, 16, 25, 64}
@@ -36,14 +36,13 @@ func TestIterationReplayMatchesGoroutine(t *testing.T) {
 						cfg.Ranks = simmpi.HostPlacement(ranks, 1)
 					}
 					compute := vclock.Time(float64(ranks)*137.5 + 9e3)
+					steps := iterationSeq(b, s, ranks, compute)
 
 					slow, err := simmpi.NewWorld(cfg)
 					if err != nil {
 						t.Fatalf("%v.%v/%d: %v", b, c, ranks, err)
 					}
-					if err := slow.Run(func(r *simmpi.Rank) {
-						iterationScript(b, s, compute, r)
-					}); err != nil {
+					if err := slow.RunSeq(steps, 1); err != nil {
 						t.Fatalf("%v.%v/%d: goroutine run: %v", b, c, ranks, err)
 					}
 					want := slow.MaxTime()
@@ -52,16 +51,12 @@ func TestIterationReplayMatchesGoroutine(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v.%v/%d: %v", b, c, ranks, err)
 					}
-					// Collective steps replay only on power-of-two worlds;
-					// BT/SP scripts are pure ring exchanges, so their odd
-					// square grids replay too.
-					eligible := ranks&(ranks-1) == 0 || b == BT || b == SP
-					got, ok := iterationReplay(fast, b, s, compute)
+					got, ok := fast.RepeatSeq(steps, 1)
 					if !ok {
-						if noFast || !eligible {
+						if noFast {
 							continue // replay correctly refused
 						}
-						t.Fatalf("%v.%v/%d ranks (phi=%v): replay refused an eligible world", b, c, ranks, phi)
+						t.Fatalf("%v.%v/%d ranks (phi=%v): replay refused a homogeneous world", b, c, ranks, phi)
 					}
 					if got != want {
 						t.Fatalf("%v.%v/%d ranks (phi=%v): replay %v, goroutine %v", b, c, ranks, phi, got, want)
@@ -73,7 +68,8 @@ func TestIterationReplayMatchesGoroutine(t *testing.T) {
 }
 
 // TestIterationReplayRefusesSingleRank pins that single-rank worlds
-// (no symmetry to exploit, nothing to win) take the goroutine engine.
+// (no symmetry to exploit, nothing to win) take the goroutine engine,
+// where LU's wavefront degenerates to its compute.
 func TestIterationReplayRefusesSingleRank(t *testing.T) {
 	s, err := SizeOf(LU, ClassS)
 	if err != nil {
@@ -83,7 +79,14 @@ func TestIterationReplayRefusesSingleRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := iterationReplay(w, LU, s, 1e4); ok {
+	steps := iterationSeq(LU, s, 1, 1e4)
+	if _, ok := w.RepeatSeq(steps, 1); ok {
 		t.Error("replayed a single-rank LU pipeline")
+	}
+	if err := w.RunSeq(steps, 1); err != nil {
+		t.Fatalf("single-rank LU pipeline: %v", err)
+	}
+	if got := w.MaxTime(); got < 0.999e4 || got > 1.001e4 {
+		t.Errorf("single-rank LU pipeline took %v, want its 1e4 compute", got)
 	}
 }

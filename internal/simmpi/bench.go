@@ -15,45 +15,19 @@ import (
 // to its right neighbor and receives one from its left neighbor, for
 // iters iterations. It returns the per-rank bandwidth in GB/s.
 func RingBandwidth(cfg Config, msgBytes, iters int, opts ...Option) (float64, error) {
-	// The benchmark never reads payload contents, so the transport can
-	// run in size-only mode; the measured virtual times are unchanged.
-	cfg.SizeOnlyPayloads = true
-	w, err := NewWorld(cfg, opts...)
+	total, err := benchTime(cfg, SeqStep{Kind: RingKind, Bytes: msgBytes}, iters, opts)
 	if err != nil {
 		return 0, err
 	}
-	// Symmetric homogeneous rings are priced in closed form (a one-step
-	// ring script); tracing-on runs keep the full path so per-operation
-	// traces are unchanged.
-	if w.cfg.Tracer == nil {
-		if total, ok := w.RepeatSeq([]SeqStep{{Kind: RingKind, Bytes: msgBytes}}, iters); ok {
-			t := total.Seconds()
-			if t <= 0 {
-				return 0, fmt.Errorf("simmpi: ring benchmark consumed no virtual time")
-			}
-			return float64(msgBytes) * float64(iters) / t / 1e9, nil
-		}
-	}
-	payload := make([]byte, msgBytes)
-	err = w.Run(func(r *Rank) {
-		n := r.Size()
-		right := (r.ID() + 1) % n
-		left := (r.ID() - 1 + n) % n
-		for i := 0; i < iters; i++ {
-			Recycle(r.Sendrecv(right, 0, payload, left, 0))
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	t := w.MaxTime().Seconds()
+	t := total.Seconds()
 	if t <= 0 {
 		return 0, fmt.Errorf("simmpi: ring benchmark consumed no virtual time")
 	}
 	return float64(msgBytes) * float64(iters) / t / 1e9, nil
 }
 
-// CollectiveKind selects a collective for CollectiveTime.
+// CollectiveKind selects the operation of a SeqStep. CollectiveTime
+// and RingBandwidth measure one-step scripts of it.
 type CollectiveKind int
 
 const (
@@ -66,17 +40,22 @@ const (
 	// AlltoallKind measures MPI_AlltoAll (Figure 14).
 	AlltoallKind
 	// PairKind is a Sendrecv exchange with partner id^1 — the halo
-	// shape of the NPB communication scripts. Valid in SeqStep scripts,
-	// not in CollectiveTime.
+	// shape of the NPB communication scripts. It needs an even world.
 	PairKind
-	// RingKind is a Sendrecv exchange sending to (id+1)%n and receiving
-	// from (id-1+n)%n — the shifted-neighbor halo of MG's level sweeps
-	// and BT/SP's directional face exchanges. Works on any world of two
-	// or more ranks (no parity constraint, unlike PairKind). Valid in
-	// SeqStep scripts, not in CollectiveTime.
+	// RingKind is a Sendrecv exchange sending to (id+Shift)%n and
+	// receiving from (id-Shift+n)%n — the shifted-neighbor halo of MG's
+	// level sweeps, BT/SP's directional face exchanges and Figure 10's
+	// ring. Works on any world of two or more ranks (no parity
+	// constraint, unlike PairKind).
 	RingKind
 	// ComputeStep is a SeqStep that performs no communication.
 	ComputeStep
+	// PipelineKind is one wavefront round on the line of ranks — LU's
+	// hyperplane sweep: rank i>0 receives Bytes from rank i-1, then
+	// charges the step's compute, then rank i<n-1 sends Bytes to rank
+	// i+1. Unlike every other kind, the compute falls between the
+	// receive and the send.
+	PipelineKind
 )
 
 // String implements fmt.Stringer with the paper's MPI function names.
@@ -96,6 +75,8 @@ func (k CollectiveKind) String() string {
 		return "MPI_Sendrecv(ring)"
 	case ComputeStep:
 		return "compute"
+	case PipelineKind:
+		return "MPI_Recv+MPI_Send(pipeline)"
 	default:
 		return fmt.Sprintf("CollectiveKind(%d)", int(k))
 	}
@@ -105,59 +86,35 @@ func (k CollectiveKind) String() string {
 // operation at the given message size (per-rank payload, as in IMB),
 // averaged over iters repetitions.
 func CollectiveTime(cfg Config, kind CollectiveKind, msgBytes, iters int, opts ...Option) (vclock.Time, error) {
-	// Collective results are recycled unread (only virtual time is
-	// measured), so size-only transport applies here too.
+	total, err := benchTime(cfg, SeqStep{Kind: kind, Bytes: msgBytes}, iters, opts)
+	if err != nil {
+		return 0, err
+	}
+	return total / vclock.Time(iters), nil
+}
+
+// benchTime prices iters repetitions of one script step, the loop of an
+// IMB benchmark. Results are recycled unread, so the world runs
+// size-only. Untraced runs replay in closed form when they can; unlike
+// SeqTime, a traced run always takes the goroutine engine (RunSeq), so
+// the trace keeps one span per operation.
+func benchTime(cfg Config, st SeqStep, iters int, opts []Option) (vclock.Time, error) {
 	cfg.SizeOnlyPayloads = true
 	w, err := NewWorld(cfg, opts...)
 	if err != nil {
 		return 0, err
 	}
-	// Symmetric repetitions are priced in closed form; tracing-on runs
-	// keep the full path so per-operation traces are unchanged.
+	// Two literals: the replay's stays on the stack, and only the
+	// fallback's escapes into the rank goroutines.
 	if w.cfg.Tracer == nil {
-		if total, ok := w.RepeatOp(kind, msgBytes, iters); ok {
-			return total / vclock.Time(iters), nil
+		if total, ok := w.RepeatSeq([]SeqStep{st}, iters); ok {
+			return total, nil
 		}
 	}
-	err = w.Run(func(r *Rank) {
-		switch kind {
-		case BcastKind:
-			payload := make([]byte, msgBytes)
-			for i := 0; i < iters; i++ {
-				out := r.Bcast(0, payload)
-				// On the root the result aliases payload (which the next
-				// iteration reuses); only non-root copies are dead here.
-				if r.ID() != 0 {
-					Recycle(out)
-				}
-			}
-		case AllreduceKind:
-			elems := msgBytes / 8
-			if elems < 1 {
-				elems = 1
-			}
-			vec := make([]float64, elems)
-			for i := 0; i < iters; i++ {
-				RecycleF64(r.Allreduce(vec, OpSum))
-			}
-		case AllgatherKind:
-			payload := make([]byte, msgBytes)
-			for i := 0; i < iters; i++ {
-				Recycle(r.Allgather(payload))
-			}
-		case AlltoallKind:
-			buf := make([]byte, r.Size()*msgBytes)
-			for i := 0; i < iters; i++ {
-				Recycle(r.Alltoall(buf, msgBytes))
-			}
-		default:
-			panic(fmt.Sprintf("simmpi: unknown collective %d", int(kind)))
-		}
-	})
-	if err != nil {
+	if err := w.RunSeq([]SeqStep{st}, iters); err != nil {
 		return 0, err
 	}
-	return w.MaxTime() / vclock.Time(iters), nil
+	return w.MaxTime(), nil
 }
 
 // Memory-footprint model (Section 6.4.5 / Figure 14; Section 6.8.2 /

@@ -29,12 +29,26 @@ func pipelineBody(msg, rounds int, compute vclock.Time) func(r *Rank) {
 	}
 }
 
-// TestRepeatPipelineMatchesFullRun is the wavefront exactness property:
-// the clock-vector replay must reproduce the goroutine run's makespan
-// BIT for bit over randomized homogeneous worlds, message sizes that
-// cross the eager/rendezvous threshold, and round counts that cover
-// both the fill and the steady phase of the pipeline.
-func TestRepeatPipelineMatchesFullRun(t *testing.T) {
+// pipelineScript is the PipelineKind script of pipelineBody: one step
+// per round.
+func pipelineScript(msg, rounds int, compute vclock.Time) []SeqStep {
+	steps := make([]SeqStep, rounds)
+	for p := range steps {
+		steps[p] = SeqStep{Compute: compute, Kind: PipelineKind, Bytes: msg}
+	}
+	return steps
+}
+
+// TestPipelineSeqMatchesFullRun is the wavefront exactness property:
+// over randomized homogeneous worlds, message sizes that cross the
+// eager/rendezvous threshold, and round counts that cover both the fill
+// and the steady phase of the pipeline, both engines of a PipelineKind
+// script — the clock-vector replay (RepeatSeq) and the goroutine
+// engine (RunSeq) — must reproduce the hand-written pipelineBody's
+// makespan BIT for bit. A mixed script (ring, per-rank-compute pipeline
+// rounds, allreduce) pins the replay's hand-off into and out of the
+// pipeline against RunSeq.
+func TestPipelineSeqMatchesFullRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 150; trial++ {
 		cfg := randomHomogeneous(rng)
@@ -42,6 +56,17 @@ func TestRepeatPipelineMatchesFullRun(t *testing.T) {
 		msg := 1 + rng.Intn(32<<10)
 		rounds := 1 + rng.Intn(8)
 		compute := vclock.Time(rng.Float64() * 5e4)
+		steps := pipelineScript(msg, rounds, compute)
+
+		ref, err := NewWorld(cfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if err := ref.Run(pipelineBody(msg, rounds, compute)); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want := ref.MaxTime()
+
 		var fast vclock.Time
 		var ok bool
 		withFastPath(func() {
@@ -49,25 +74,58 @@ func TestRepeatPipelineMatchesFullRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			fast, ok = w.RepeatPipeline(msg, rounds, compute)
+			fast, ok = w.RepeatSeq(steps, 1)
 		})
 		if !ok {
 			t.Fatalf("trial %d: replay refused a homogeneous %d-rank world", trial, len(cfg.Ranks))
 		}
-		w, err := NewWorld(cfg)
+		slow, err := NewWorld(cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := w.Run(pipelineBody(msg, rounds, compute)); err != nil {
+		if err := slow.RunSeq(steps, 1); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if slow := w.MaxTime(); fast != slow {
-			t.Fatalf("trial %d (n=%d msg=%d rounds=%d compute=%v): fast %v, slow %v",
-				trial, len(cfg.Ranks), msg, rounds, compute, fast, slow)
+		if fast != want || slow.MaxTime() != want {
+			t.Fatalf("trial %d (n=%d msg=%d rounds=%d compute=%v): replay %v, RunSeq %v, pipelineBody %v",
+				trial, len(cfg.Ranks), msg, rounds, compute, fast, slow.MaxTime(), want)
 		}
 		checkCounters(t, cfg,
-			func(w *World) bool { _, ok := w.RepeatPipeline(msg, rounds, compute); return ok },
+			func(w *World) bool { _, ok := w.RepeatSeq(steps, 1); return ok },
 			func(w *World) error { return w.Run(pipelineBody(msg, rounds, compute)) })
+
+		per := make([]vclock.Time, 1+rng.Intn(3))
+		for i := range per {
+			per[i] = vclock.Time(rng.Float64() * 5e4)
+		}
+		mixed := []SeqStep{
+			{Compute: compute, Kind: RingKind, Bytes: msg},
+			{ComputePer: per, Kind: PipelineKind, Bytes: msg},
+			{Kind: PipelineKind, Bytes: 1 + rng.Intn(32<<10)},
+			{Kind: AllreduceKind, Bytes: 8},
+		}
+		iters := 1 + rng.Intn(2)
+		withFastPath(func() {
+			w, err := NewWorld(cfg)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			fast, ok = w.RepeatSeq(mixed, iters)
+		})
+		if !ok {
+			t.Fatalf("trial %d: replay refused a mixed pipeline script", trial)
+		}
+		ws, err := NewWorld(cfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if err := ws.RunSeq(mixed, iters); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if fast != ws.MaxTime() {
+			t.Fatalf("trial %d (n=%d, mixed x%d): replay %v, RunSeq %v", trial, len(cfg.Ranks), iters, fast, ws.MaxTime())
+		}
+		checkSeqCounters(t, cfg, mixed, iters)
 	}
 }
 
@@ -111,16 +169,17 @@ func TestRingSeqMatchesFullRun(t *testing.T) {
 	}
 }
 
-// TestRepeatPipelineRefusals pins the fallback conditions that keep the
-// goroutine engine reachable.
-func TestRepeatPipelineRefusals(t *testing.T) {
+// TestPipelineSeqRefusals pins the fallback conditions that keep the
+// goroutine engine reachable for a pipeline script.
+func TestPipelineSeqRefusals(t *testing.T) {
+	steps := pipelineScript(64, 2, 1)
 	withFastPath(func() {
 		homog := Config{Ranks: HostPlacement(4, 1)}
 		w, err := NewWorld(homog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := w.RepeatPipeline(64, 2, 1); !ok {
+		if _, ok := w.RepeatSeq(steps, 1); !ok {
 			t.Error("refused a homogeneous pipeline")
 		}
 		mixed := Config{Ranks: append(HostPlacement(2, 1), PhiPlacement(machine.Phi0, 2, 1)...)}
@@ -128,27 +187,61 @@ func TestRepeatPipelineRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := wm.RepeatPipeline(64, 2, 1); ok {
+		if _, ok := wm.RepeatSeq(steps, 1); ok {
 			t.Error("replayed a heterogeneous world")
+		}
+		rack, err := NewWorld(Config{Ranks: RackPlacement(machine.Host, 2, 2, 1), Fabric: machine.NewRackFabric(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := rack.RepeatSeq(steps, 1); ok {
+			t.Error("replayed a pipeline on a rack world")
 		}
 		faulted, err := NewWorld(homog, WithFaultPlan(simfault.PhiStraggler()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := faulted.RepeatPipeline(64, 2, 1); ok {
+		if _, ok := faulted.RepeatSeq(steps, 1); ok {
 			t.Error("replayed a faulted world")
 		}
 		w1, err := NewWorld(Config{Ranks: HostPlacement(1, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := w1.RepeatPipeline(64, 2, 1); ok {
+		if _, ok := w1.RepeatSeq(steps, 1); ok {
 			t.Error("replayed a single-rank world")
 		}
 		withSlowPath(func() {
-			if _, ok := w.RepeatPipeline(64, 2, 1); ok {
+			if _, ok := w.RepeatSeq(steps, 1); ok {
 				t.Error("ignored the MAIA_NO_FASTPATH escape hatch")
 			}
 		})
 	})
+}
+
+// TestPipelineSeqValidation pins what RunSeq and SeqTime accept for a
+// PipelineKind step: a line of one rank only computes, and per-rank
+// payloads (BytesPer, a Pair/Ring shape) are rejected.
+func TestPipelineSeqValidation(t *testing.T) {
+	w1, err := NewWorld(Config{Ranks: HostPlacement(1, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w1.RunSeq(pipelineScript(64, 3, 5), 1); err != nil {
+		t.Fatalf("single-rank pipeline: %v", err)
+	}
+	if got := w1.MaxTime(); got != 15 {
+		t.Errorf("single-rank pipeline took %v, want 15 (compute only)", got)
+	}
+	bad := []SeqStep{{Kind: PipelineKind, BytesPer: []int{64, 128}}}
+	w, err := NewWorld(Config{Ranks: HostPlacement(4, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RunSeq(bad, 1); err == nil {
+		t.Error("RunSeq accepted BytesPer on a pipeline step")
+	}
+	if _, err := SeqTime(Config{Ranks: HostPlacement(4, 1)}, bad, 1); err == nil {
+		t.Error("SeqTime accepted BytesPer on a pipeline step")
+	}
 }

@@ -8,12 +8,11 @@ import (
 	"maia/internal/vclock"
 )
 
-// The replay prices communication scripts (SeqStep), repeated
-// collectives and LU's wavefront in closed form: no rank goroutines, no
-// message queues, just the goroutine engine's send/recvAt float
-// recurrences stepped over a REPRESENTATIVE CLOCK VECTOR. The state is
-// t[0..width) clocks, each standing for `scale` ranks whose clocks are
-// provably equal at every point of the program:
+// The replay prices communication scripts (SeqStep) in closed form: no
+// rank goroutines, no message queues, just the goroutine engine's
+// send/recvAt float recurrences stepped over a REPRESENTATIVE CLOCK
+// VECTOR. The state is t[0..width) clocks, each standing for `scale`
+// ranks whose clocks are provably equal at every point of the program:
 //
 //   - uniform flat world: one clock stands for all n ranks. In a world
 //     of identical placements running a symmetric round (every rank
@@ -28,15 +27,16 @@ import (
 //     microseconds;
 //   - non-uniform flat world: n clocks, each standing for itself.
 //     Homogeneity still fixes every pair's transfer cost, so binomial
-//     trees, linear scatters, per-rank compute and per-rank payloads
-//     replay exactly in dependency order.
+//     trees, linear scatters, wavefront rounds, per-rank compute and
+//     per-rank payloads replay exactly in dependency order.
 //
 // A flat replay starts uniform and expands to the full vector once, at
 // the first step that breaks uniformity (Bcast, the non-power-of-two
-// Allreduce, ComputePer, BytesPer). Messages match per (src, tag) FIFO
-// in program order, so visiting ranks in dependency order — a tree
-// parent before its children, reduce children before their parent, all
-// sends of a round before its receives — reproduces every rank's clock
+// Allreduce, a pipeline round, ComputePer, BytesPer). Messages match
+// per (src, tag) FIFO in program order, so visiting ranks in dependency
+// order — a tree parent before its children, reduce children before
+// their parent, all sends of a round before its receives, a pipeline's
+// upstream rank before its downstream one — reproduces every rank's clock
 // bit for bit: float additions happen in the goroutine run's order, so
 // the result is identical, not just close.
 //
@@ -104,13 +104,14 @@ func (w *World) stepReplayable(st SeqStep) bool {
 			// R > 1 mixes intra- and inter-node pairs.
 			return R == 1 || R%2 == 0
 		default:
-			// Bcast's binomial trees are not index-symmetric, and a
-			// ring's node-boundary exchanges cross varying hop counts.
+			// Bcast's binomial trees are not index-symmetric, and the
+			// node-boundary exchanges of a ring or a pipeline cross
+			// varying hop counts.
 			return false
 		}
 	}
 	switch st.Kind {
-	case ComputeStep, BcastKind, AllreduceKind, AllgatherKind, AlltoallKind, RingKind:
+	case ComputeStep, BcastKind, AllreduceKind, AllgatherKind, AlltoallKind, RingKind, PipelineKind:
 		return true
 	case PairKind:
 		return w.size%2 == 0
@@ -265,6 +266,28 @@ func (s *replay) round(xor, shift, n int, per []int) {
 	}
 }
 
+// pipeline replays one wavefront round (PipelineKind) on the full clock
+// vector: rank clocks are not equal during the pipeline's fill, but a
+// round's receive on rank i depends only on rank i-1's send of the same
+// round and on rank i's own earlier operations, so a rank-ascending
+// traversal of each round visits every operation after its
+// dependencies.
+func (s *replay) pipeline(st SeqStep) {
+	s.expand()
+	n, nb := len(s.t), st.Bytes
+	for id := 0; id < n; id++ {
+		if id > 0 {
+			s.recv(id, s.cost(id-1, id, nb), s.post[id])
+		}
+		if c := stepCompute(id, st.Compute, st.ComputePer); c > 0 {
+			s.t[id] += c
+		}
+		if id < n-1 {
+			s.post[id+1] = s.send(id, s.cost(id, id+1, nb))
+		}
+	}
+}
+
 // compute charges a step's compute. A ComputePer that the current
 // representatives cannot stand for (its length does not divide theirs)
 // expands a flat state first.
@@ -364,6 +387,10 @@ func allreduceBytes(n int) int {
 // flatStep replays one script step on a flat world, mirroring the
 // algorithm selection of collectives.go, and returns the algorithm.
 func (s *replay) flatStep(st SeqStep) string {
+	if st.Kind == PipelineKind {
+		s.pipeline(st) // charges the compute between receive and send
+		return "pipeline"
+	}
 	s.compute(st)
 	n := s.w.size
 	switch st.Kind {
@@ -543,37 +570,4 @@ func (w *World) RepeatSeq(steps []SeqStep, iters int) (vclock.Time, bool) {
 // msgBytes} under RepeatSeq's rules.
 func (w *World) RepeatOp(kind CollectiveKind, msgBytes, iters int) (vclock.Time, bool) {
 	return w.RepeatSeq([]SeqStep{{Kind: kind, Bytes: msgBytes}}, iters)
-}
-
-// RepeatPipeline prices `rounds` wavefront rounds on a line of ranks:
-// each round, rank i>0 receives msgBytes from rank i-1, every rank
-// computes for `compute`, and rank i<n-1 sends msgBytes to rank i+1 —
-// the LU hyperplane sweep. Rank clocks are not equal during the fill,
-// so it replays on the full clock vector: round r of rank i depends only
-// on round r of rank i-1 and rank i's own earlier rounds, so a
-// round-major, rank-ascending traversal visits every operation after
-// its dependencies. ok is false where RepeatSeq refuses, and on rack
-// worlds, whose node-boundary edges cost differently.
-func (w *World) RepeatPipeline(msgBytes, rounds int, compute vclock.Time) (vclock.Time, bool) {
-	if w.rack != nil || !w.replayable() || msgBytes < 0 || rounds < 0 || compute < 0 {
-		return 0, false
-	}
-	s := newReplay(w)
-	s.expand()
-	n := w.size
-	for round := 0; round < rounds; round++ {
-		for id := 0; id < n; id++ {
-			if id > 0 {
-				s.recv(id, s.cost(id-1, id, msgBytes), s.post[id])
-			}
-			s.t[id] += compute
-			if id < n-1 {
-				s.post[id+1] = s.send(id, s.cost(id, id+1, msgBytes))
-			}
-		}
-	}
-	if w.cfg.Tracer != nil {
-		s.trace(fmt.Sprintf("pipeline x%d", rounds))
-	}
-	return s.makespan(), true
 }

@@ -7,11 +7,15 @@ import (
 )
 
 // SeqStep is one step of a communication-pattern script: optional
-// compute followed by one operation. Scripts (see RunSeq / SeqTime)
-// describe an application's per-iteration shape — the NPB and OVERFLOW
-// rack drivers are scripts of a few SeqSteps.
+// compute followed by one operation. A script is the only description
+// of a priced MPI pattern: the IMB loops (CollectiveTime,
+// RingBandwidth), the NPB iterations and the OVERFLOW steps are all
+// scripts of a few SeqSteps. RepeatSeq replays a script in closed form;
+// RunSeq runs it on the goroutine engine, the replay's reference and
+// the only path where the replay refuses. SeqTime picks between them.
 type SeqStep struct {
-	// Compute is charged to every rank before the operation.
+	// Compute is charged to every rank before the operation (for
+	// PipelineKind, between its receive and its send).
 	Compute vclock.Time
 	// ComputePer, when non-nil, charges rank i ComputePer[i%len] —
 	// with len == ranksPerNode this is per-local-index compute,
@@ -19,11 +23,13 @@ type SeqStep struct {
 	// It overrides Compute.
 	ComputePer []vclock.Time
 	// Kind selects the operation: BcastKind, AllreduceKind,
-	// AllgatherKind, AlltoallKind, PairKind, RingKind, or ComputeStep.
+	// AllgatherKind, AlltoallKind, PairKind, RingKind, ComputeStep, or
+	// PipelineKind.
 	Kind CollectiveKind
 	// Bytes is the per-rank payload: the block size for
 	// Allgather/Alltoall, the vector bytes for Allreduce, the message
-	// size for Pair/Ring exchanges. Ignored by ComputeStep.
+	// size for Pair/Ring exchanges and pipeline rounds. Ignored by
+	// ComputeStep.
 	Bytes int
 	// BytesPer, when non-nil, gives rank i a BytesPer[i%len]-byte
 	// payload instead of Bytes — the OVERFLOW fringe shape, where each
@@ -63,7 +69,7 @@ func (w *World) validateSeq(steps []SeqStep) error {
 			}
 		}
 		switch st.Kind {
-		case ComputeStep, BcastKind, AllreduceKind, AllgatherKind, AlltoallKind:
+		case ComputeStep, BcastKind, AllreduceKind, AllgatherKind, AlltoallKind, PipelineKind:
 		case PairKind:
 			if w.size%2 != 0 {
 				return fmt.Errorf("simmpi: step %d pairs id^1 in an odd %d-rank world", i, w.size)
@@ -83,34 +89,39 @@ func (w *World) validateSeq(steps []SeqStep) error {
 // the replay is pinned against, and the only path under fault plans or
 // MAIA_NO_FASTPATH.
 func seqBody(r *Rank, steps []SeqStep, iters int) {
-	n := r.Size()
+	n, id := r.Size(), r.ID()
 	for it := 0; it < iters; it++ {
 		for _, st := range steps {
-			c := st.Compute
-			if st.ComputePer != nil {
-				c = st.ComputePer[r.ID()%len(st.ComputePer)]
+			if st.Kind == PipelineKind && id > 0 {
+				Recycle(r.Recv(id-1, 0))
 			}
-			if c > 0 {
+			if c := stepCompute(id, st.Compute, st.ComputePer); c > 0 {
 				r.Compute(c)
 			}
 			switch st.Kind {
 			case ComputeStep:
+			case PipelineKind:
+				if id < n-1 {
+					buf := GetPayload(st.Bytes)
+					r.Send(id+1, 0, buf)
+					Recycle(buf)
+				}
 			case PairKind:
-				partner := r.ID() ^ 1
-				buf := GetPayload(stepRankBytes(r.ID(), st.Bytes, st.BytesPer))
+				partner := id ^ 1
+				buf := GetPayload(stepRankBytes(id, st.Bytes, st.BytesPer))
 				Recycle(r.Sendrecv(partner, 0, buf, partner, 0))
 				Recycle(buf)
 			case RingKind:
 				sh := seqShift(st, n)
-				right := (r.ID() + sh) % n
-				left := (r.ID() - sh + n) % n
-				buf := GetPayload(stepRankBytes(r.ID(), st.Bytes, st.BytesPer))
+				right := (id + sh) % n
+				left := (id - sh + n) % n
+				buf := GetPayload(stepRankBytes(id, st.Bytes, st.BytesPer))
 				Recycle(r.Sendrecv(right, 0, buf, left, 0))
 				Recycle(buf)
 			case BcastKind:
 				buf := GetPayload(st.Bytes)
 				out := r.Bcast(0, buf)
-				if r.ID() != 0 {
+				if id != 0 {
 					Recycle(out)
 				}
 				Recycle(buf)
@@ -142,6 +153,17 @@ func (w *World) RunSeq(steps []SeqStep, iters int) error {
 		return err
 	}
 	return w.Run(func(r *Rank) { seqBody(r, steps, iters) })
+}
+
+// stepCompute resolves rank j's compute charge for a step. It takes
+// the step's fields, not the step: even inlined, a SeqStep argument is
+// copied per call, and that copy dominated the pipeline replay's
+// per-rank loop.
+func stepCompute(j int, compute vclock.Time, computePer []vclock.Time) vclock.Time {
+	if computePer != nil {
+		return computePer[j%len(computePer)]
+	}
+	return compute
 }
 
 // stepRankBytes resolves rank j's payload size for a Pair/Ring step.
