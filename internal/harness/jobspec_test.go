@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"maia/internal/core"
@@ -316,4 +317,45 @@ func TestJobSpecEnvRoundTripProperty(t *testing.T) {
 			t.Errorf("trial %d: round-tripped env changes output for %+v", i, spec)
 		}
 	}
+}
+
+// FuzzJobSpec decodes arbitrary bytes as a JobSpec the way maiad does
+// (unknown fields refused) and, for every spec the paper registry
+// accepts, checks the content-address invariants: Normalize is
+// idempotent, Hash ignores it, and the canonical bytes decode back into
+// a valid spec with the same canonical bytes.
+func FuzzJobSpec(f *testing.F) {
+	f.Add([]byte(`{"experiment":"fig7","quick":true}`))
+	f.Add([]byte(`{"experiment":"ext-rack-npb","nodes":8}`))
+	f.Add([]byte(`{"experiment":"fig25","fault_plan":"degraded","seed":7,"model":{"os_core_penalty":1.5,"cache_capture":0}}`))
+	f.Add([]byte(`{"schema_version":2,"experiment":"ext-fleet-recovery","seed":3,"fleet":{"nodes":8,"scheduler":"round-robin","duration_s":3600.5,"health_s":30}}`))
+	reg := Paper()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec JobSpec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil || spec.Validate(reg) != nil {
+			return
+		}
+		n := spec.Normalize()
+		if again := n.Normalize(); !reflect.DeepEqual(again, n) {
+			t.Fatalf("Normalize not idempotent:\n once  %+v\n twice %+v", n, again)
+		}
+		if spec.Hash() != n.Hash() {
+			t.Fatalf("Normalize changed the hash of %s", data)
+		}
+		canon := spec.MarshalCanonical()
+		var back JobSpec
+		dec = json.NewDecoder(bytes.NewReader(canon))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&back); err != nil {
+			t.Fatalf("canonical bytes %s do not decode: %v", canon, err)
+		}
+		if err := back.Validate(reg); err != nil {
+			t.Fatalf("canonical bytes %s do not validate: %v", canon, err)
+		}
+		if got := back.MarshalCanonical(); !bytes.Equal(got, canon) {
+			t.Fatalf("canonical round trip drifted:\n %s\n %s", canon, got)
+		}
+	})
 }

@@ -5,14 +5,16 @@
 // server answers from a content-addressed result cache keyed by the
 // spec's SHA-256. The committed golden snapshots seed the cache at
 // startup, identical in-flight jobs coalesce onto one engine execution,
-// sweep batches ride the existing parallel experiment engine, and every
-// endpoint feeds latency histograms and cache counters exposed at
-// /metrics and /healthz.
+// and a bounded worker pool caps the engines running at once. Every
+// job, whether posted alone or as one spec of a sweep, takes the same
+// path to the engine: cache, coalescer, one worker slot. Every endpoint
+// feeds latency histograms and cache counters exposed at /metrics and
+// /healthz.
 //
 // Endpoints:
 //
 //	POST /v1/jobs         run (or fetch) one JobSpec; ?trace=summary|chrome attaches simtrace output
-//	POST /v1/sweeps       run a batch of JobSpecs through the parallel engine
+//	POST /v1/sweeps       run (or fetch) up to 256 JobSpecs concurrently, answered in order
 //	POST /v1/fleet        run (or fetch) one fleet-section JobSpec (schema v2 fleet block)
 //	GET  /v1/jobs/{key}   fetch a result by content address (404 on cold keys)
 //	GET  /v1/fleet/{key}  fetch a fleet result by content address
@@ -35,6 +37,7 @@ import (
 	"io/fs"
 	"net/http"
 	"runtime"
+	"sync"
 	"time"
 
 	"maia/internal/harness"
@@ -120,9 +123,9 @@ func (s *Server) Cache() *Cache { return s.cache }
 // Handler returns the routed http.Handler serving every endpoint.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.timed("jobs", s.handleJob))
+	mux.HandleFunc("POST /v1/jobs", s.timed("jobs", s.handleSpec(false)))
 	mux.HandleFunc("POST /v1/sweeps", s.timed("sweeps", s.handleSweep))
-	mux.HandleFunc("POST /v1/fleet", s.timed("fleet", s.handleFleet))
+	mux.HandleFunc("POST /v1/fleet", s.timed("fleet", s.handleSpec(true)))
 	mux.HandleFunc("GET /v1/jobs/{key}", s.timed("lookup", s.handleLookup))
 	mux.HandleFunc("GET /v1/fleet/{key}", s.timed("fleet_lookup", s.handleLookup))
 	mux.HandleFunc("GET /v1/experiments", s.timed("experiments", s.handleExperiments))
@@ -174,8 +177,15 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// errFleetEndpoint rejects fleet jobs posted to the plain-job endpoints.
-var errFleetEndpoint = errors.New("fleet jobs are served by POST /v1/fleet")
+// The daemon's own typed failures, beside the harness validation errors.
+var (
+	// errFleetEndpoint rejects fleet jobs posted to the plain-job endpoints.
+	errFleetEndpoint = errors.New("fleet jobs are served by POST /v1/fleet")
+	// errSweepTooLarge rejects a sweep of more than maxSweepSpecs specs.
+	errSweepTooLarge = errors.New("sweep too large")
+	// errEnginePanic marks an experiment that panicked while rendering.
+	errEnginePanic = errors.New("experiment panicked")
+)
 
 // errorCode maps a typed validation error to its wire code.
 func errorCode(err error) (string, int) {
@@ -209,6 +219,10 @@ func errorCode(err error) (string, int) {
 		return "fleet_not_applicable", http.StatusBadRequest
 	case errors.Is(err, errFleetEndpoint):
 		return "fleet_endpoint", http.StatusBadRequest
+	case errors.Is(err, errSweepTooLarge):
+		return "sweep_too_large", http.StatusBadRequest
+	case errors.Is(err, errEnginePanic):
+		return "engine_panic", http.StatusInternalServerError
 	}
 	return "bad_request", http.StatusBadRequest
 }
@@ -233,8 +247,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // maxBodyBytes caps a POST body. A JobSpec is a few hundred bytes, so
-// 1 MiB holds a sweep of thousands; a larger body is refused with
-// request_too_large before it is buffered.
+// 1 MiB holds a full sweep of maxSweepSpecs; a larger body is refused
+// with request_too_large before it is buffered.
 const maxBodyBytes = 1 << 20
 
 // decodeBody decodes an HTTP request body that must hold exactly one
@@ -253,128 +267,123 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// decodeSpec reads and validates one JobSpec from an HTTP body.
-func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (harness.JobSpec, error) {
-	var spec harness.JobSpec
-	if err := decodeBody(w, r, &spec); err != nil {
-		return harness.JobSpec{}, fmt.Errorf("malformed job spec: %w", err)
-	}
+// checkEndpoint validates spec against the registry, normalizes it,
+// and checks that it belongs on the endpoint: fleet jobs (a v2 fleet
+// block, or an experiment in the registry's "fleet" section, even with
+// every knob at its default) are served only by /v1/fleet, so fleet
+// latency never pollutes the plain-job histograms, and /v1/fleet
+// serves nothing else.
+func (s *Server) checkEndpoint(spec harness.JobSpec, fleet bool) (harness.JobSpec, error) {
 	if err := spec.Validate(s.reg); err != nil {
 		return harness.JobSpec{}, err
 	}
-	return spec.Normalize(), nil
+	spec = spec.Normalize()
+	e, _ := s.reg.ByID(spec.Experiment)
+	switch isFleet := spec.Fleet != nil || e.Section == "fleet"; {
+	case isFleet && !fleet:
+		return harness.JobSpec{}, fmt.Errorf("%w: %q is a fleet job", errFleetEndpoint, spec.Experiment)
+	case !isFleet && fleet:
+		return harness.JobSpec{}, fmt.Errorf("%w: %q is not a fleet experiment; POST it to /v1/jobs",
+			harness.ErrBadFleetExperiment, spec.Experiment)
+	}
+	return spec, nil
 }
 
-// isFleetSpec reports whether a validated spec is a fleet job: it
-// carries a v2 fleet block, or its experiment lives in the registry's
-// "fleet" section (fleet-section jobs are fleet jobs even with every
-// knob at its default).
-func (s *Server) isFleetSpec(spec harness.JobSpec) bool {
-	if spec.Fleet != nil {
-		return true
+// handleSpec serves POST /v1/jobs (fleet false) and POST /v1/fleet
+// (fleet true): decode, check the spec against the endpoint, then the
+// per-job trace bypass or resolve. Both endpoints share the cache, the
+// coalescer and the worker pool, so an identical spec is computed
+// exactly once no matter which clients race it.
+func (s *Server) handleSpec(fleet bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var spec harness.JobSpec
+		if err := decodeBody(w, r, &spec); err != nil {
+			s.fail(w, fmt.Errorf("malformed job spec: %w", err))
+			return
+		}
+		spec, err := s.checkEndpoint(spec, fleet)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		if trace := r.URL.Query().Get("trace"); trace != "" {
+			s.handleTracedJob(w, spec, trace)
+			return
+		}
+		resp, err := s.resolve(spec)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	e, ok := s.reg.ByID(spec.Experiment)
-	return ok && e.Section == "fleet"
 }
 
-// handleJob serves POST /v1/jobs: cache, then coalesced execution.
-// Fleet jobs are redirected to their own endpoint so fleet latency
-// never pollutes the plain-job histograms.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	spec, err := s.decodeSpec(w, r)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if s.isFleetSpec(spec) {
-		s.fail(w, fmt.Errorf("%w: %q is a fleet job", errFleetEndpoint, spec.Experiment))
-		return
-	}
-	s.answer(w, r, spec)
-}
-
-// handleFleet serves POST /v1/fleet: the fleet-scenario mirror of
-// /v1/jobs. It accepts only fleet jobs (see isFleetSpec) and shares the
-// content-addressed cache, the coalescer, and the worker pool with the
-// plain-job path, so an identical fleet spec is computed exactly once
-// no matter which clients race it.
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	spec, err := s.decodeSpec(w, r)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if !s.isFleetSpec(spec) {
-		s.fail(w, fmt.Errorf("%w: %q is not a fleet experiment; POST it to /v1/jobs",
-			harness.ErrBadFleetExperiment, spec.Experiment))
-		return
-	}
-	s.answer(w, r, spec)
-}
-
-// answer serves one validated, normalized spec: per-job trace bypass,
-// then cache, then coalesced execution — the shared tail of /v1/jobs
-// and /v1/fleet.
-func (s *Server) answer(w http.ResponseWriter, r *http.Request, spec harness.JobSpec) {
+// resolve answers one checked spec: from the cache, else by joining an
+// identical in-flight execution, else by executing it. Every cold job
+// of every endpoint reaches the engine through here.
+func (s *Server) resolve(spec harness.JobSpec) (JobResponse, error) {
 	key := spec.Hash()
-
-	if trace := r.URL.Query().Get("trace"); trace != "" {
-		s.handleTracedJob(w, spec, key, trace)
-		return
-	}
-
 	if e, ok := s.cache.Get(key); ok {
 		s.metrics.CacheHits.Add(1)
-		writeJSON(w, http.StatusOK, s.response(key, spec, CacheHit, e))
-		return
+		return s.response(key, spec, CacheHit, e), nil
 	}
+	// An identical execution may finish between the cache read above and
+	// the coalescer taking the key; it stores before releasing the key,
+	// so the leader reads the cache again instead of running it twice.
+	hit := false
 	e, shared, err := s.group.Do(key, func() (Entry, error) {
-		return s.execute(spec, nil)
+		if e, ok := s.cache.Get(key); ok {
+			hit = true
+			return e, nil
+		}
+		return s.execute(spec, key, nil)
 	})
 	if err != nil {
-		s.fail(w, err)
-		return
+		return JobResponse{}, err
 	}
 	status := CacheMiss
-	if shared {
+	switch {
+	case hit:
+		s.metrics.CacheHits.Add(1)
+		status = CacheHit
+	case shared:
 		s.metrics.Coalesced.Add(1)
 		status = CacheCoalesced
-	} else {
+	default:
 		s.metrics.CacheMisses.Add(1)
 	}
-	writeJSON(w, http.StatusOK, s.response(key, spec, status, e))
+	return s.response(key, spec, status, e), nil
 }
 
 // handleTracedJob serves a job that asked for its simtrace output:
 // always a fresh execution (spans only exist for real runs), though the
 // byte-identical output still lands in the cache for everyone else.
-func (s *Server) handleTracedJob(w http.ResponseWriter, spec harness.JobSpec, key, mode string) {
+func (s *Server) handleTracedJob(w http.ResponseWriter, spec harness.JobSpec, mode string) {
 	if mode != "summary" && mode != "chrome" {
 		s.fail(w, fmt.Errorf("unknown trace mode %q (want summary or chrome)", mode))
 		return
 	}
+	key := spec.Hash()
 	tracer := simtrace.New()
 	tracer.SetProcess(spec.Experiment)
-	e, err := s.execute(spec, tracer)
+	e, err := s.execute(spec, key, tracer)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	resp := s.response(key, spec, CacheBypass, e)
+	var buf bytes.Buffer
 	if mode == "summary" {
-		var buf bytes.Buffer
-		if err := tracer.Summary().WriteText(&buf); err != nil {
-			s.fail(w, err)
-			return
-		}
+		err = tracer.Summary().WriteText(&buf)
 		resp.TraceSummary = buf.String()
 	} else {
-		var buf bytes.Buffer
-		if err := tracer.WriteChrome(&buf); err != nil {
-			s.fail(w, err)
-			return
-		}
+		err = tracer.WriteChrome(&buf)
 		resp.Trace = json.RawMessage(buf.Bytes())
+	}
+	if err != nil {
+		s.fail(w, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -392,12 +401,24 @@ func (s *Server) response(key string, spec harness.JobSpec, status string, e Ent
 	}
 }
 
-// execute runs one job on the bounded worker pool and stores the result.
-func (s *Server) execute(spec harness.JobSpec, tracer *simtrace.Tracer) (Entry, error) {
+// execute runs one job on the engine and stores the result under key
+// (the spec's content address). It is the only place the engine runs
+// and the only sender on s.sem: each execution holds one worker slot,
+// so at most Workers engines run at once across every endpoint. A
+// panic in the render becomes errEnginePanic, so the caller answers a
+// typed 500 and the coalescer releases its followers; the recover
+// covers this goroutine only, not goroutines an experiment starts.
+func (s *Server) execute(spec harness.JobSpec, key string, tracer *simtrace.Tracer) (e Entry, err error) {
 	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
 	s.metrics.InFlight.Add(1)
-	defer s.metrics.InFlight.Add(-1)
+	defer func() {
+		if p := recover(); p != nil {
+			s.logf("maiad: job %s (%s) panicked: %v", key[:12], spec.Experiment, p)
+			e, err = Entry{}, fmt.Errorf("%w: %s: %v", errEnginePanic, spec.Experiment, p)
+		}
+		s.metrics.InFlight.Add(-1)
+		<-s.sem
+	}()
 
 	exp, ok := s.reg.ByID(spec.Experiment)
 	if !ok {
@@ -413,10 +434,10 @@ func (s *Server) execute(spec harness.JobSpec, tracer *simtrace.Tracer) (Entry, 
 	out, err := harness.RenderBytes(exp, env)
 	wall := time.Since(start)
 	if err != nil {
-		s.logf("maiad: job %s (%s) failed: %v", spec.Hash()[:12], spec.Experiment, err)
+		s.logf("maiad: job %s (%s) failed: %v", key[:12], spec.Experiment, err)
 		return Entry{}, err
 	}
-	e := Entry{
+	e = Entry{
 		Result: harness.Result{
 			ID:    exp.ID,
 			Title: exp.Title,
@@ -425,14 +446,17 @@ func (s *Server) execute(spec harness.JobSpec, tracer *simtrace.Tracer) (Entry, 
 		}.Wire(),
 		Output: out,
 	}
-	s.cache.Put(spec.Hash(), e)
+	s.cache.Put(key, e)
 	return e, nil
 }
 
+// maxSweepSpecs caps the specs in one sweep, and with them the
+// goroutines the sweep starts; a larger matrix is split by the client.
+const maxSweepSpecs = 256
+
 // SweepRequest is the body of POST /v1/sweeps: a benchmark matrix.
 type SweepRequest struct {
-	// Specs are the jobs to run; identical env shaping (everything but
-	// the experiment ID) batches through one parallel engine pass.
+	// Specs are the jobs to run, at most maxSweepSpecs of them.
 	Specs []harness.JobSpec `json:"specs"`
 }
 
@@ -445,9 +469,11 @@ type SweepResponse struct {
 	Results []JobResponse `json:"results"`
 }
 
-// handleSweep serves POST /v1/sweeps: cache-filters the batch, groups
-// the cold jobs by environment, and runs each group through the
-// existing parallel experiment engine in one pass.
+// handleSweep serves POST /v1/sweeps: it checks every spec as /v1/jobs
+// would, then resolves each on its own goroutine, so cold specs share
+// the worker pool and the coalescer with every other request (a spec
+// listed twice runs once). It answers in request order, or with the
+// first error in request order.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -458,110 +484,40 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, errors.New("empty sweep: want specs to run"))
 		return
 	}
-	specs := make([]harness.JobSpec, len(req.Specs))
+	if len(req.Specs) > maxSweepSpecs {
+		s.fail(w, fmt.Errorf("%w: %d specs (at most %d)", errSweepTooLarge, len(req.Specs), maxSweepSpecs))
+		return
+	}
 	for i, spec := range req.Specs {
-		if err := spec.Validate(s.reg); err != nil {
+		spec, err := s.checkEndpoint(spec, false)
+		if err != nil {
 			s.fail(w, fmt.Errorf("specs[%d]: %w", i, err))
 			return
 		}
-		specs[i] = spec.Normalize()
-		if s.isFleetSpec(specs[i]) {
-			s.fail(w, fmt.Errorf("specs[%d]: %w: %q is a fleet job", i, errFleetEndpoint, specs[i].Experiment))
-			return
-		}
+		req.Specs[i] = spec
 	}
 
 	resp := SweepResponse{
 		SchemaVersion: ResponseSchemaVersion,
-		Results:       make([]JobResponse, len(specs)),
+		Results:       make([]JobResponse, len(req.Specs)),
 	}
-	// Answer what the cache already holds; group the rest by their env
-	// signature (the spec with the experiment blanked) so each group is
-	// one registry subset under one environment — exactly the parallel
-	// engine's contract.
-	type group struct {
-		envSpec harness.JobSpec
-		idx     []int
+	errs := make([]error, len(req.Specs))
+	var wg sync.WaitGroup
+	for i, spec := range req.Specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp.Results[i], errs[i] = s.resolve(spec)
+		}()
 	}
-	groups := make(map[string]*group)
-	order := []string{}
-	for i, spec := range specs {
-		key := spec.Hash()
-		if e, ok := s.cache.Get(key); ok {
-			s.metrics.CacheHits.Add(1)
-			resp.Results[i] = s.response(key, spec, CacheHit, e)
-			continue
-		}
-		envSpec := spec
-		envSpec.Experiment = ""
-		sig := string(envSpec.MarshalCanonical())
-		g, ok := groups[sig]
-		if !ok {
-			g = &group{envSpec: envSpec}
-			groups[sig] = g
-			order = append(order, sig)
-		}
-		g.idx = append(g.idx, i)
-	}
-	for _, sig := range order {
-		g := groups[sig]
-		if err := s.runSweepGroup(specs, g.envSpec, g.idx, &resp); err != nil {
-			s.fail(w, err)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			s.fail(w, fmt.Errorf("specs[%d]: %w", i, err))
 			return
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// runSweepGroup executes one environment-group of a sweep on the
-// parallel engine and fills the group's slots in resp. The engine
-// writes every experiment's bytes to one buffer in slice order, so the
-// per-experiment outputs are recovered by walking Result.Bytes offsets.
-func (s *Server) runSweepGroup(specs []harness.JobSpec, envSpec harness.JobSpec, idx []int, resp *SweepResponse) error {
-	env, err := envSpec.Env()
-	if err != nil {
-		return err
-	}
-	exps := make([]harness.Experiment, len(idx))
-	for j, i := range idx {
-		exp, ok := s.reg.ByID(specs[i].Experiment)
-		if !ok {
-			return fmt.Errorf("%w: %q", harness.ErrUnknownExperiment, specs[i].Experiment)
-		}
-		exps[j] = exp
-	}
-
-	s.sem <- struct{}{}
-	s.metrics.InFlight.Add(int64(len(idx)))
-	var buf bytes.Buffer
-	s.metrics.EngineRuns.Add(int64(len(idx)))
-	results, err := harness.RunExperiments(&buf, env, exps, cap(s.sem))
-	s.metrics.InFlight.Add(int64(-len(idx)))
-	<-s.sem
-	if err != nil {
-		return err
-	}
-
-	off := 0
-	for j, i := range idx {
-		res := results[j]
-		out := buf.Bytes()[off : off+res.Bytes]
-		off += res.Bytes
-		e := Entry{
-			Result: harness.Result{
-				ID:    res.ID,
-				Title: res.Title,
-				Wall:  res.Wall,
-				Bytes: res.Bytes,
-			}.Wire(),
-			Output: append([]byte(nil), out...),
-		}
-		key := specs[i].Hash()
-		s.cache.Put(key, e)
-		s.metrics.CacheMisses.Add(1)
-		resp.Results[i] = s.response(key, specs[i], CacheMiss, e)
-	}
-	return nil
 }
 
 // handleLookup serves GET /v1/jobs/{key}: a pure cache read.

@@ -329,6 +329,25 @@ func TestJobErrorTaxonomy(t *testing.T) {
 	if code := postJob(t, ts.URL+"/v1/sweeps", body, &er); code != http.StatusBadRequest || er.Code != "bad_request" {
 		t.Errorf("sweep trailing data: status=%d code=%q (%s)", code, er.Code, er.Error)
 	}
+	// A sweep is capped at maxSweepSpecs specs, even all-cached ones; an
+	// empty sweep stays a plain bad request.
+	sweepOf := func(n int) string {
+		return `{"specs":[` + strings.TrimSuffix(strings.Repeat(`{"experiment":"table1"},`, n), ",") + `]}`
+	}
+	for _, tc := range []struct {
+		n      int
+		status int
+		code   string
+	}{
+		{0, http.StatusBadRequest, "bad_request"},
+		{maxSweepSpecs, http.StatusOK, ""},
+		{maxSweepSpecs + 1, http.StatusBadRequest, "sweep_too_large"},
+	} {
+		er = ErrorResponse{}
+		if code := postJob(t, ts.URL+"/v1/sweeps", sweepOf(tc.n), &er); code != tc.status || er.Code != tc.code {
+			t.Errorf("sweep of %d specs: status=%d code=%q, want %d %q (%s)", tc.n, code, er.Code, tc.status, tc.code, er.Error)
+		}
+	}
 	// The other two POST bodies share the cap.
 	for _, path := range []string{"/v1/sweeps", "/v1/fleet"} {
 		er = ErrorResponse{}
@@ -593,5 +612,136 @@ func TestFleetMetricsLabels(t *testing.T) {
 	}
 	if !bytes.Contains(prom, []byte(`maiad_request_seconds_count{endpoint="fleet_lookup"} 1`)) {
 		t.Errorf("prom exposition missing fleet_lookup latency count:\n%s", prom)
+	}
+}
+
+// An experiment that panics answers a typed 500 on every endpoint
+// instead of killing the connection or the process, and releases its
+// coalescer key and worker slot: the repeat request gets the same
+// answer rather than parking forever on a leader that never returns.
+func TestEnginePanicIsTyped(t *testing.T) {
+	reg := harness.NewRegistry()
+	if err := reg.Register(harness.Experiment{
+		ID:    "boom",
+		Title: "panics mid-render",
+		Run: func(w io.Writer, env harness.Env) error {
+			panic("boom")
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Registry: reg, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := &http.Client{Timeout: 10 * time.Second}
+
+	for i, req := range []struct{ path, body string }{
+		{"/v1/jobs", `{"experiment":"boom"}`},
+		{"/v1/jobs", `{"experiment":"boom"}`},
+		{"/v1/sweeps", `{"specs":[{"experiment":"boom"}]}`},
+	} {
+		resp, err := client.Post(ts.URL+req.path, "application/json", strings.NewReader(req.body))
+		if err != nil {
+			t.Fatalf("request %d (%s): %v", i, req.path, err)
+		}
+		var er ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("request %d (%s): decoding: %v", i, req.path, err)
+		}
+		if resp.StatusCode != http.StatusInternalServerError || er.Code != "engine_panic" {
+			t.Errorf("request %d (%s): status=%d code=%q, want 500 engine_panic (%s)",
+				i, req.path, resp.StatusCode, er.Code, er.Error)
+		}
+	}
+	if got := s.Metrics().InFlight.Load(); got != 0 {
+		t.Errorf("InFlight = %d after the panics, want 0", got)
+	}
+	if got := len(s.sem); got != 0 {
+		t.Errorf("%d worker slots still held after the panics", got)
+	}
+}
+
+// Every cold job holds one worker slot, whether it came alone or in a
+// sweep: a 4-spec sweep racing a /v1/jobs post never renders more than
+// Workers at once. A spec listed twice in one sweep runs once.
+func TestSweepSharesWorkerSlotsAndCoalescer(t *testing.T) {
+	// gate0..gate5 each block until released, recording the peak number
+	// rendering at once.
+	release := make(chan struct{})
+	var running, peak atomic.Int64
+	reg := harness.NewRegistry()
+	for i := 0; i < 6; i++ {
+		if err := reg.Register(harness.Experiment{
+			ID:    fmt.Sprintf("gate%d", i),
+			Title: "blocks until released",
+			Order: i,
+			Run: func(w io.Writer, env harness.Env) error {
+				now := running.Add(1)
+				for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+				}
+				<-release
+				running.Add(-1)
+				_, err := fmt.Fprintln(w, "gate payload")
+				return err
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Config{Registry: reg, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		var sr SweepResponse
+		body := `{"specs":[{"experiment":"gate0"},{"experiment":"gate1"},{"experiment":"gate2"},{"experiment":"gate3"}]}`
+		if code := postJob(t, ts.URL+"/v1/sweeps", body, &sr); code != http.StatusOK {
+			t.Errorf("sweep: status %d", code)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		var jr JobResponse
+		if code := postJob(t, ts.URL+"/v1/jobs", `{"experiment":"gate4"}`, &jr); code != http.StatusOK {
+			t.Errorf("job: status %d", code)
+		}
+	}()
+	// Let every request reach the engine it can reach before releasing.
+	for running.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(200 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	if got := peak.Load(); got > 2 {
+		t.Errorf("%d renders ran at once with Workers: 2", got)
+	}
+	if got := s.Metrics().EngineRuns.Load(); got != 5 {
+		t.Errorf("engine ran %d times for 5 distinct cold jobs", got)
+	}
+
+	before := s.Metrics().EngineRuns.Load()
+	var sr SweepResponse
+	body := `{"specs":[{"experiment":"gate5"},{"experiment":"gate5"}]}`
+	if code := postJob(t, ts.URL+"/v1/sweeps", body, &sr); code != http.StatusOK {
+		t.Fatalf("duplicate sweep: status %d", code)
+	}
+	if got := s.Metrics().EngineRuns.Load() - before; got != 1 {
+		t.Errorf("a spec listed twice ran the engine %d times", got)
+	}
+	statuses := []string{sr.Results[0].Cache, sr.Results[1].Cache}
+	if (statuses[0] == CacheMiss) == (statuses[1] == CacheMiss) || sr.Results[0].Output != sr.Results[1].Output {
+		t.Errorf("duplicate statuses %v, want one miss and one coalesced/hit with equal output", statuses)
 	}
 }
