@@ -28,7 +28,8 @@ func benchExperiment(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("experiment %s not registered", id)
 	}
-	env := harness.DefaultEnv(harness.WithQuick(true))
+	env := harness.DefaultEnv()
+	env.Quick = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := e.Run(io.Discard, env); err != nil {
@@ -258,7 +259,8 @@ func BenchmarkKernelCart3DStep(b *testing.B) {
 func benchRunAll(b *testing.B, workers int) {
 	b.Helper()
 	reg := harness.Paper()
-	env := harness.DefaultEnv(harness.WithQuick(true))
+	env := harness.DefaultEnv()
+	env.Quick = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if workers == 0 {
@@ -267,7 +269,7 @@ func benchRunAll(b *testing.B, workers int) {
 			}
 			continue
 		}
-		if _, err := reg.RunAllParallel(io.Discard, env, workers); err != nil {
+		if _, err := harness.RunExperiments(io.Discard, env, reg.All(), workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,9 +6,9 @@
 // the canonical spec hash, the committed golden snapshots pre-seed the
 // cache, identical in-flight jobs coalesce onto one engine execution,
 // every cold job (alone or one spec of a sweep) holds one of -workers
-// engine slots, an experiment that panics answers 500 engine_panic,
-// and /metrics exposes per-endpoint latency histograms plus cache and
-// coalescer counters.
+// engine slots, an experiment that fails or panics answers 500
+// engine_error or engine_panic, and /metrics exposes per-endpoint
+// latency histograms plus cache and coalescer counters.
 //
 // Usage:
 //

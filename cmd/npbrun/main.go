@@ -57,18 +57,16 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	plan, err := jf.FaultPlan()
+	env, tracer, err := jf.Env()
 	if err != nil {
 		return err
 	}
-
-	tracer := jf.NewTracer()
 	tracer.SetProcess("npbrun")
 
 	kernels := map[string]func() error{}
-	rt := simomp.New(machine.HostCoresPartition(machine.NewNode(), *threads, 1),
+	rt := simomp.New(machine.HostCoresPartition(env.Node, *threads, 1),
 		simomp.WithTracer(tracer, fmt.Sprintf("omp:host%d", *threads)),
-		simomp.WithFaultPlan(plan))
+		simomp.WithFaultPlan(env.Faults))
 	team := simomp.NewTeam(rt)
 	kernels["ep"] = func() error { return runEP(w, *class, team, *mpiRanks) }
 	kernels["cg"] = func() error { return runCG(w, *class, team, *mpiRanks) }

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"maia/internal/harness"
 )
 
 // EP class S reproduces the official NPB verification sums and reports
@@ -60,10 +63,10 @@ func TestRunWithFaultPlan(t *testing.T) {
 	if !strings.Contains(buf.String(), "VERIFIED") {
 		t.Errorf("EP did not verify under a fault plan:\n%s", buf.String())
 	}
-	if err := run([]string{"-bench", "ep", "-faults", "nope"}, &bytes.Buffer{}); err == nil {
-		t.Error("unknown fault plan accepted")
+	if err := run([]string{"-bench", "ep", "-faults", "nope"}, &bytes.Buffer{}); !errors.Is(err, harness.ErrUnknownFaultPlan) {
+		t.Errorf("unknown fault plan: got %v, want ErrUnknownFaultPlan", err)
 	}
-	if err := run([]string{"-bench", "ep", "-seed", "7"}, &bytes.Buffer{}); err == nil {
-		t.Error("-seed without -faults accepted")
+	if err := run([]string{"-bench", "ep", "-seed", "7"}, &bytes.Buffer{}); !errors.Is(err, harness.ErrBadSeed) {
+		t.Errorf("-seed without -faults: got %v, want ErrBadSeed", err)
 	}
 }

@@ -1,8 +1,9 @@
-// Shared CLI flag wiring. Every command that runs experiments — maiad,
-// maiabench, npbrun — parses the same surface through JobFlags, and the
-// parsed flags turn into environments only by way of JobSpec, so a CLI
-// invocation and a maiad HTTP job can never drift apart in meaning. New
-// run options land here (and in JobSpec) once and appear everywhere.
+// Shared CLI flag wiring. The commands that run experiments —
+// maiabench and npbrun — parse the same surface through JobFlags, and
+// the parsed flags turn into environments only by way of JobSpec, the
+// type maiad decodes from every HTTP job, so a CLI invocation and a
+// maiad job can never drift apart in meaning. New run options land
+// here (and in JobSpec) once and appear everywhere.
 package harness
 
 import (
@@ -11,7 +12,6 @@ import (
 	"io"
 	"os"
 
-	"maia/internal/simfault"
 	"maia/internal/simtrace"
 )
 
@@ -55,8 +55,7 @@ func AddJobFlags(fs *flag.FlagSet) *JobFlags {
 func (f *JobFlags) RegisterRun(fs *flag.FlagSet) {
 	f.prog = fs.Name()
 	fs.BoolVar(&f.Quick, "quick", false, "trim sweep densities for a fast pass")
-	fs.StringVar(&f.Faults, "faults", "", "run under a named fault plan (see -list for the catalog); incompatible with -verify/-update")
-	fs.Uint64Var(&f.Seed, "seed", 0, "re-seed the -faults plan or the -fleet draws (0 = the defaults); incompatible with -verify/-update")
+	f.RegisterFaults(fs)
 	fs.IntVar(&f.Nodes, "nodes", 0, "cap the ext-rack node sweeps at this power-of-two node count (0 = full 128-node system); incompatible with -verify/-update")
 	fs.IntVar(&f.Fleet, "fleet", 0, "cap the ext-fleet simulated fleet sizes at this node count (0 = default shapes); incompatible with -verify/-update")
 	fs.StringVar(&f.Scheduler, "scheduler", "", "fleet placement policy for the ext-fleet experiments (see -list for the catalog); incompatible with -verify/-update")
@@ -73,8 +72,8 @@ func (f *JobFlags) RegisterTrace(fs *flag.FlagSet) {
 // commands that take a degraded machine but no sweep shaping.
 func (f *JobFlags) RegisterFaults(fs *flag.FlagSet) {
 	f.prog = fs.Name()
-	fs.StringVar(&f.Faults, "faults", "", "run under a named fault plan (see simfault catalog)")
-	fs.Uint64Var(&f.Seed, "seed", 0, "re-seed the -faults plan (0 = the catalog seed)")
+	fs.StringVar(&f.Faults, "faults", "", "run under a named fault plan (maiabench -list prints the catalog)")
+	fs.Uint64Var(&f.Seed, "seed", 0, "re-seed the -faults plan, or the -fleet draws where that flag exists (0 = the defaults)")
 }
 
 // Spec returns the JobSpec the flags describe for one experiment ID.
@@ -95,27 +94,6 @@ func (f *JobFlags) Spec(experiment string) JobSpec {
 	return spec
 }
 
-// FaultPlan resolves the -faults/-seed pair to a plan (nil when -faults
-// is unset; -seed alone is rejected like everywhere else).
-func (f *JobFlags) FaultPlan() (*simfault.Plan, error) {
-	if f.Faults == "" {
-		if f.Seed != 0 {
-			return nil, fmt.Errorf("%w: -seed %d without -faults", ErrBadSeed, f.Seed)
-		}
-		return nil, nil
-	}
-	plan, err := simfault.ByName(f.Faults)
-	if err != nil {
-		return nil, err
-	}
-	if f.Seed != 0 {
-		reseeded := *plan
-		reseeded.Seed = f.Seed
-		plan = &reseeded
-	}
-	return plan, nil
-}
-
 // NewTracer returns a fresh tracer when a tracing flag asked for one,
 // nil otherwise (tracing off at zero cost).
 func (f *JobFlags) NewTracer() *simtrace.Tracer {
@@ -126,19 +104,14 @@ func (f *JobFlags) NewTracer() *simtrace.Tracer {
 }
 
 // Env validates the flag values through a JobSpec and builds the
-// environment plus the requested tracer (nil when tracing is off);
-// opts apply on top for command-specific additions.
-func (f *JobFlags) Env(opts ...Option) (Env, *simtrace.Tracer, error) {
+// environment plus the requested tracer (nil when tracing is off).
+func (f *JobFlags) Env() (Env, *simtrace.Tracer, error) {
 	env, err := f.Spec("").Env()
 	if err != nil {
 		return Env{}, nil, err
 	}
-	tracer := f.NewTracer()
-	env.Tracer = tracer
-	for _, opt := range opts {
-		opt(&env)
-	}
-	return env, tracer, nil
+	env.Tracer = f.NewTracer()
+	return env, env.Tracer, nil
 }
 
 // WriteTrace exports what the tracer collected: Chrome JSON to the

@@ -22,7 +22,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	var par bytes.Buffer
-	results, err := reg.RunAllParallel(&par, env, 4)
+	results, err := RunExperiments(&par, env, reg.All(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,8 @@ func TestEmptyFaultPlanGoldensUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-mode golden re-render")
 	}
-	env := DefaultEnv(WithFaults(&simfault.Plan{}))
+	env := DefaultEnv()
+	env.Faults = &simfault.Plan{}
 	if err := VerifyGolden(env, Paper().All(), os.DirFS("testdata/golden")); err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func faultFamily(t *testing.T) []Experiment {
 // Every fault experiment embeds its own seeded plan, so two renders are
 // byte-identical — the property the golden snapshots rely on.
 func TestFaultExperimentsDeterministic(t *testing.T) {
-	env := DefaultEnv(WithQuick(true))
+	env := quickEnv()
 	for _, e := range faultFamily(t) {
 		first, err := RenderBytes(e, env)
 		if err != nil {
@@ -45,7 +45,8 @@ func TestFaultExperimentsDeterministic(t *testing.T) {
 // byte-identical output to the sequential one: every fault decision is a
 // pure function of (seed, event identity), never goroutine interleaving.
 func TestFaultedSuiteParallelMatchesSequential(t *testing.T) {
-	env := DefaultEnv(WithQuick(true), WithFaults(simfault.Degraded()))
+	env := quickEnv()
+	env.Faults = simfault.Degraded()
 	reg := Paper()
 	// The fault-sensitive cross-section: MPI, OpenMP, offload, the
 	// OVERFLOW driver, and the fault family itself.

@@ -219,18 +219,7 @@ func runExtFleetRecovery(w io.Writer, env Env) error {
 	if env.Quick {
 		sweep = []int{8, 64}
 	}
-	if env.FleetNodes > 0 {
-		var capped []int
-		for _, n := range sweep {
-			if n <= env.FleetNodes {
-				capped = append(capped, n)
-			}
-		}
-		if len(capped) == 0 {
-			capped = []int{env.FleetNodes}
-		}
-		sweep = capped
-	}
+	sweep = capSweep(sweep, env.FleetNodes, env.FleetNodes)
 	sweepDuration := 600 * vclock.Second
 	if env.Quick {
 		sweepDuration = 200 * vclock.Second

@@ -106,78 +106,11 @@ type Env struct {
 	FleetSeed uint64
 }
 
-// Option configures the Env built by DefaultEnv.
-type Option func(*Env)
-
-// WithQuick sets quick mode (trimmed sweep densities).
-func WithQuick(quick bool) Option {
-	return func(env *Env) { env.Quick = quick }
-}
-
-// WithTracer attaches a simtrace tracer (nil leaves tracing off).
-func WithTracer(t *simtrace.Tracer) Option {
-	return func(env *Env) { env.Tracer = t }
-}
-
-// WithModel substitutes the cost model.
-func WithModel(m core.Model) Option {
-	return func(env *Env) { env.Model = m }
-}
-
-// WithFaults injects a fault plan into every experiment's runtimes (nil
-// runs the healthy machine).
-func WithFaults(p *simfault.Plan) Option {
-	return func(env *Env) { env.Faults = p }
-}
-
-// WithRackNodes caps the ext-rack sweeps' largest node count (0 keeps
-// the full 128-node sweep).
-func WithRackNodes(n int) Option {
-	return func(env *Env) { env.RackNodes = n }
-}
-
-// WithFleetNodes caps the ext-fleet fleet sizes (0 keeps the defaults).
-func WithFleetNodes(n int) Option {
-	return func(env *Env) { env.FleetNodes = n }
-}
-
-// WithFleetScheduler selects the fleet placement policy ("" keeps the
-// default).
-func WithFleetScheduler(policy string) Option {
-	return func(env *Env) { env.FleetScheduler = policy }
-}
-
-// WithFleetMTBF pins the fleet experiments to one MTBF profile ("" keeps
-// the full catalog sweep).
-func WithFleetMTBF(profile string) Option {
-	return func(env *Env) { env.FleetMTBF = profile }
-}
-
-// WithFleetDuration overrides the simulated fleet horizon (0 keeps the
-// per-experiment defaults).
-func WithFleetDuration(d vclock.Time) Option {
-	return func(env *Env) { env.FleetDuration = d }
-}
-
-// WithFleetHealth overrides the fleet health-check period (0 keeps the
-// default).
-func WithFleetHealth(d vclock.Time) Option {
-	return func(env *Env) { env.FleetHealth = d }
-}
-
-// WithFleetSeed re-roots the fleet's random decisions (0 keeps the
-// default seed).
-func WithFleetSeed(seed uint64) Option {
-	return func(env *Env) { env.FleetSeed = seed }
-}
-
-// DefaultEnv returns the calibrated environment, adjusted by opts.
-func DefaultEnv(opts ...Option) Env {
-	env := Env{Model: core.DefaultModel(), Node: machine.NewNode()}
-	for _, opt := range opts {
-		opt(&env)
-	}
-	return env
+// DefaultEnv returns the calibrated environment: the default model on
+// a fresh node, full density, healthy, untraced. Callers that need
+// another environment set its fields.
+func DefaultEnv() Env {
+	return Env{Model: core.DefaultModel(), Node: machine.NewNode()}
 }
 
 // Clone returns an Env that shares no mutable state with env: the Model
@@ -210,4 +143,22 @@ func sizesUpTo(env Env, max int) []int {
 		out = append(out, max)
 	}
 	return out
+}
+
+// capSweep keeps the sweep points at or below limit (0 keeps them all);
+// when none is that small it returns the single point fallback.
+func capSweep(sweep []int, limit, fallback int) []int {
+	if limit <= 0 {
+		return sweep
+	}
+	var capped []int
+	for _, n := range sweep {
+		if n <= limit {
+			capped = append(capped, n)
+		}
+	}
+	if len(capped) == 0 {
+		return []int{fallback}
+	}
+	return capped
 }

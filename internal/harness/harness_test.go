@@ -2,12 +2,17 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"maia/internal/core"
 )
 
 func quickEnv() Env {
-	return DefaultEnv(WithQuick(true))
+	env := DefaultEnv()
+	env.Quick = true
+	return env
 }
 
 // Every registered experiment runs without error and produces output.
@@ -168,21 +173,45 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
-// DefaultEnv options compose; the zero-option call is the calibrated
-// default.
+// An Env's options are its fields: DefaultEnv leaves every one at the
+// calibrated default, and the empty JobSpec builds exactly that Env.
 func TestEnvOptions(t *testing.T) {
-	if env := DefaultEnv(); env.Quick || env.Tracer != nil || env.Node == nil {
-		t.Error("zero-option DefaultEnv is not the calibrated default")
+	def := DefaultEnv()
+	if def.Quick || def.Tracer != nil || def.Faults != nil || def.Node == nil ||
+		def.Model != core.DefaultModel() {
+		t.Errorf("DefaultEnv is not the calibrated default: %+v", def)
 	}
-	env := DefaultEnv(WithQuick(true))
-	if !env.Quick {
-		t.Error("WithQuick(true) ignored")
+	got, err := JobSpec{}.Env()
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := env.Model
-	m.OSCorePenalty = 99
-	env = DefaultEnv(WithModel(m), WithQuick(true))
-	if env.Model.OSCorePenalty != 99 || !env.Quick {
-		t.Error("WithModel/WithQuick combination ignored")
+	if got.Node == nil || got.Node == def.Node {
+		t.Error("each Env must own a fresh Node")
+	}
+	got.Node, def.Node = nil, nil
+	if got != def {
+		t.Errorf("JobSpec{}.Env() = %+v, want DefaultEnv() %+v", got, def)
+	}
+}
+
+// capSweep keeps the points at or below the limit, keeps everything
+// without one, and falls back to a single point when none fits.
+func TestCapSweep(t *testing.T) {
+	cases := []struct {
+		sweep           []int
+		limit, fallback int
+		want            []int
+	}{
+		{[]int{2, 8, 32, 128}, 0, 2, []int{2, 8, 32, 128}},
+		{[]int{2, 8, 32, 128}, 16, 2, []int{2, 8}},
+		{[]int{2, 8, 32, 128}, 128, 2, []int{2, 8, 32, 128}},
+		{[]int{8, 64, 512}, 4, 4, []int{4}},
+	}
+	for _, c := range cases {
+		got := capSweep(c.sweep, c.limit, c.fallback)
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("capSweep(%v, %d, %d) = %v, want %v", c.sweep, c.limit, c.fallback, got, c.want)
+		}
 	}
 }
 
@@ -216,7 +245,7 @@ func TestSizesUpTo(t *testing.T) {
 			}
 		}
 	}
-	if got := sizesUpTo(DefaultEnv(WithQuick(true)), 0); len(got) != 1 || got[0] != 0 {
+	if got := sizesUpTo(quickEnv(), 0); len(got) != 1 || got[0] != 0 {
 		t.Errorf("quick sizesUpTo(0) = %v, want [0]", got)
 	}
 }

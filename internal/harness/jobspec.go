@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,52 +172,67 @@ func (f *FleetSpec) check() error {
 
 // Validate checks the spec against the registry and the catalogs and
 // returns the first violation, wrapped around one of the typed errors
-// above. A nil error means Env() will succeed and the experiment exists.
+// above: first the environment (checkEnv, which starts with the schema
+// version), then the experiment. A nil error means Env() will succeed
+// and the experiment exists.
 func (s JobSpec) Validate(reg *Registry) error {
-	if s.SchemaVersion < 0 || s.SchemaVersion > JobSpecSchemaVersion {
-		return fmt.Errorf("%w: %d (this build speaks up to %d)",
-			ErrBadSchemaVersion, s.SchemaVersion, JobSpecSchemaVersion)
+	if _, err := s.checkEnv(); err != nil {
+		return err
 	}
 	if s.Experiment == "" {
 		return fmt.Errorf("%w: empty experiment ID", ErrUnknownExperiment)
 	}
-	if reg != nil {
-		if _, ok := reg.ByID(s.Experiment); !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownExperiment, s.Experiment)
-		}
+	if reg == nil {
+		return nil
+	}
+	exp, ok := reg.ByID(s.Experiment)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownExperiment, s.Experiment)
+	}
+	if s.Fleet != nil && exp.Section != "fleet" {
+		return fmt.Errorf("%w: experiment %q is in section %q, not fleet",
+			ErrBadFleetExperiment, s.Experiment, exp.Section)
+	}
+	return nil
+}
+
+// checkEnv validates the environment half of the spec — schema version,
+// rack nodes, fleet block, fault plan, seed and model overrides — and
+// returns the catalog fault plan it names (nil for none). The
+// experiment plays no part, so the CLIs' experiment-less specs pass.
+func (s JobSpec) checkEnv() (*simfault.Plan, error) {
+	if s.SchemaVersion < 0 || s.SchemaVersion > JobSpecSchemaVersion {
+		return nil, fmt.Errorf("%w: %d (this build speaks up to %d)",
+			ErrBadSchemaVersion, s.SchemaVersion, JobSpecSchemaVersion)
 	}
 	if s.Nodes != 0 && (s.Nodes < 2 || s.Nodes > 128 || s.Nodes&(s.Nodes-1) != 0) {
-		return fmt.Errorf("%w: %d (want a power of two in 2..128, or 0)", ErrBadNodes, s.Nodes)
+		return nil, fmt.Errorf("%w: %d (want a power of two in 2..128, or 0)", ErrBadNodes, s.Nodes)
 	}
 	if s.Fleet != nil {
 		if s.FaultPlan != "" {
-			return fmt.Errorf("%w: a fleet block cannot carry fault plan %q",
+			return nil, fmt.Errorf("%w: a fleet block cannot carry fault plan %q",
 				ErrBadFleetExperiment, s.FaultPlan)
 		}
-		if reg != nil {
-			if exp, ok := reg.ByID(s.Experiment); ok && exp.Section != "fleet" {
-				return fmt.Errorf("%w: experiment %q is in section %q, not fleet",
-					ErrBadFleetExperiment, s.Experiment, exp.Section)
-			}
-		}
 		if err := s.Fleet.check(); err != nil {
-			return err
+			return nil, err
 		}
 	}
+	var plan *simfault.Plan
 	if s.FaultPlan != "" {
-		if _, err := simfault.ByName(s.FaultPlan); err != nil {
-			return fmt.Errorf("%w: %q (have %s)",
+		var err error
+		if plan, err = simfault.ByName(s.FaultPlan); err != nil {
+			return nil, fmt.Errorf("%w: %q (have %s)",
 				ErrUnknownFaultPlan, s.FaultPlan, strings.Join(simfault.Names(), ", "))
 		}
 	} else if s.Seed != 0 && s.Fleet == nil {
-		return fmt.Errorf("%w: seed %d would re-roll nothing", ErrBadSeed, s.Seed)
+		return nil, fmt.Errorf("%w: seed %d would re-roll nothing", ErrBadSeed, s.Seed)
 	}
 	for key, v := range s.Model {
 		if err := checkModelOverride(key, v); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return plan, nil
 }
 
 // checkModelOverride validates one model-override assignment.
@@ -387,55 +401,35 @@ func (s JobSpec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Env builds the harness environment the spec describes. It resolves
-// the fault plan (re-seeded when Seed is set) and applies the model
-// overrides to the calibrated default; errors mirror Validate's typed
-// classification. The experiment ID plays no part here — resolve it
-// against a Registry separately.
+// Env builds the harness environment the spec describes, after the
+// same environment checks Validate makes. It re-seeds the fault plan
+// when Seed is set and applies the model overrides to the calibrated
+// default. The experiment ID plays no part here — resolve it against a
+// Registry separately.
 func (s JobSpec) Env() (Env, error) {
-	if s.Nodes != 0 && (s.Nodes < 2 || s.Nodes > 128 || s.Nodes&(s.Nodes-1) != 0) {
-		return Env{}, fmt.Errorf("%w: %d (want a power of two in 2..128, or 0)", ErrBadNodes, s.Nodes)
+	plan, err := s.checkEnv()
+	if err != nil {
+		return Env{}, err
 	}
-	opts := []Option{WithQuick(s.Quick), WithRackNodes(s.Nodes)}
-	if s.Fleet != nil {
-		if s.FaultPlan != "" {
-			return Env{}, fmt.Errorf("%w: a fleet block cannot carry fault plan %q",
-				ErrBadFleetExperiment, s.FaultPlan)
-		}
-		if err := s.Fleet.check(); err != nil {
-			return Env{}, err
-		}
-		opts = append(opts,
-			WithFleetNodes(s.Fleet.Nodes),
-			WithFleetScheduler(s.Fleet.Scheduler),
-			WithFleetMTBF(s.Fleet.MTBF),
-			WithFleetDuration(vclock.Time(s.Fleet.DurationS)*vclock.Second),
-			WithFleetHealth(vclock.Time(s.Fleet.HealthS)*vclock.Second),
-			WithFleetSeed(s.Seed))
+	env := DefaultEnv()
+	env.Quick = s.Quick
+	env.RackNodes = s.Nodes
+	if plan != nil && s.Seed != 0 {
+		plan.Seed = s.Seed // ByName returns a fresh plan
 	}
-	if s.FaultPlan != "" {
-		plan, err := simfault.ByName(s.FaultPlan)
-		if err != nil {
-			return Env{}, fmt.Errorf("%w: %q", ErrUnknownFaultPlan, s.FaultPlan)
-		}
-		if s.Seed != 0 {
-			reseeded := *plan
-			reseeded.Seed = s.Seed
-			plan = &reseeded
-		}
-		opts = append(opts, WithFaults(plan))
-	} else if s.Seed != 0 && s.Fleet == nil {
-		return Env{}, fmt.Errorf("%w: seed %d would re-roll nothing", ErrBadSeed, s.Seed)
+	env.Faults = plan
+	if f := s.Fleet; f != nil {
+		env.FleetNodes = f.Nodes
+		env.FleetScheduler = f.Scheduler
+		env.FleetMTBF = f.MTBF
+		env.FleetDuration = vclock.Time(f.DurationS) * vclock.Second
+		env.FleetHealth = vclock.Time(f.HealthS) * vclock.Second
+		env.FleetSeed = s.Seed
 	}
-	model := core.DefaultModel()
 	for key, v := range s.Model {
-		if err := checkModelOverride(key, v); err != nil {
-			return Env{}, err
-		}
-		applyModelOverride(&model, key, v)
+		applyModelOverride(&env.Model, key, v)
 	}
-	opts = append(opts, WithModel(model))
-	return DefaultEnv(opts...), nil
+	return env, nil
 }
 
 // applyModelOverride sets one validated knob on the model.
@@ -469,60 +463,4 @@ func modelToOverrides(m core.Model) map[string]float64 {
 		ModelStreamBankLimit:     b2f(m.Stream.BankLimit),
 		ModelStreamBankPenalty:   m.Stream.BankPenalty,
 	}
-}
-
-// EnvToSpec inverts Env: it derives the JobSpec that rebuilds env for
-// the given experiment ID, normalized. It errors when the environment
-// is not representable on the wire — a fault plan outside the named
-// catalog, or a tracer (per-request state, never part of a job's
-// identity) would silently change what a cache key means.
-func EnvToSpec(experiment string, env Env) (JobSpec, error) {
-	spec := JobSpec{
-		SchemaVersion: JobSpecSchemaVersion,
-		Experiment:    experiment,
-		Quick:         env.Quick,
-		Nodes:         env.RackNodes,
-	}
-	if env.FleetNodes != 0 || env.FleetScheduler != "" || env.FleetMTBF != "" ||
-		env.FleetDuration != 0 || env.FleetHealth != 0 || env.FleetSeed != 0 {
-		if env.Faults.Enabled() {
-			return JobSpec{}, fmt.Errorf("%w: a fleet environment cannot carry fault plan %q",
-				ErrBadFleetExperiment, env.Faults.Name)
-		}
-		spec.Fleet = &FleetSpec{
-			Nodes:     env.FleetNodes,
-			DurationS: env.FleetDuration.Seconds(),
-			MTBF:      env.FleetMTBF,
-			Scheduler: env.FleetScheduler,
-			HealthS:   env.FleetHealth.Seconds(),
-		}
-		spec.Seed = env.FleetSeed
-	} else if env.Faults.Enabled() {
-		plan, err := simfault.ByName(env.Faults.Name)
-		if err != nil {
-			return JobSpec{}, fmt.Errorf("%w: plan %q is not in the catalog",
-				ErrUnknownFaultPlan, env.Faults.Name)
-		}
-		spec.FaultPlan = plan.Name
-		if env.Faults.Seed != plan.Seed {
-			spec.Seed = env.Faults.Seed
-		}
-		reseeded := *plan
-		reseeded.Seed = env.Faults.Seed
-		if !reflect.DeepEqual(*env.Faults, reseeded) {
-			return JobSpec{}, fmt.Errorf("%w: plan %q was modified beyond its seed",
-				ErrUnknownFaultPlan, env.Faults.Name)
-		}
-	}
-	def := modelToOverrides(core.DefaultModel())
-	for key, v := range modelToOverrides(env.Model) {
-		if v == def[key] {
-			continue
-		}
-		if spec.Model == nil {
-			spec.Model = make(map[string]float64)
-		}
-		spec.Model[key] = v
-	}
-	return spec.Normalize(), nil
 }

@@ -115,6 +115,7 @@ func TestJobSpecValidate(t *testing.T) {
 		{"empty experiment", JobSpec{}, ErrUnknownExperiment},
 		{"v2 schema ok", JobSpec{SchemaVersion: 2, Experiment: "fig5"}, nil},
 		{"bad schema", JobSpec{SchemaVersion: 3, Experiment: "fig5"}, ErrBadSchemaVersion},
+		{"bad schema before experiment", JobSpec{SchemaVersion: 3, Experiment: "fig99"}, ErrBadSchemaVersion},
 		{"fleet ok", JobSpec{Experiment: "ext-fleet-mtbf", Seed: 9,
 			Fleet: &FleetSpec{Nodes: 32, Scheduler: "round-robin", MTBF: "steady",
 				DurationS: 600, HealthS: 30}}, nil},
@@ -146,7 +147,19 @@ func TestJobSpecValidate(t *testing.T) {
 		{"non-positive penalty", JobSpec{Experiment: "fig5",
 			Model: map[string]float64{ModelOSCorePenalty: 0}}, ErrBadModelOverride},
 	}
+	// Env() makes the same environment checks from the same code: only
+	// the experiment's own rejections pass it.
+	experimentOnly := map[string]bool{
+		"unknown experiment": true, "empty experiment": true, "fleet on non-fleet experiment": true,
+	}
 	for _, c := range cases {
+		envWant := c.want
+		if experimentOnly[c.name] {
+			envWant = nil
+		}
+		if _, err := c.spec.Env(); (envWant == nil) != (err == nil) || !errors.Is(err, envWant) {
+			t.Errorf("%s: Env() = %v, want errors.Is(%v)", c.name, err, envWant)
+		}
 		err := c.spec.Validate(reg)
 		if c.want == nil {
 			if err != nil {
@@ -192,25 +205,6 @@ func TestJobSpecEnv(t *testing.T) {
 	}
 	if _, err := (JobSpec{Experiment: "fig5", Seed: 1}).Env(); !errors.Is(err, ErrBadSeed) {
 		t.Errorf("Env accepted a seed without a plan: %v", err)
-	}
-}
-
-// EnvToSpec refuses environments that a JobSpec cannot faithfully
-// describe: ad-hoc fault plans would alias a catalog cache key.
-func TestEnvToSpecRejectsUnrepresentable(t *testing.T) {
-	plan, err := simfault.ByName("phi-straggler")
-	if err != nil {
-		t.Fatal(err)
-	}
-	custom := *plan
-	custom.Stragglers = append([]simfault.Straggler(nil), plan.Stragglers...)
-	custom.Stragglers[0].Slowdown = 99
-	if _, err := EnvToSpec("fig5", DefaultEnv(WithFaults(&custom))); !errors.Is(err, ErrUnknownFaultPlan) {
-		t.Errorf("modified plan accepted: %v", err)
-	}
-	anon := &simfault.Plan{Stragglers: plan.Stragglers}
-	if _, err := EnvToSpec("fig5", DefaultEnv(WithFaults(anon))); !errors.Is(err, ErrUnknownFaultPlan) {
-		t.Errorf("anonymous plan accepted: %v", err)
 	}
 }
 
@@ -271,9 +265,10 @@ func randomSpec(rng *rand.Rand) JobSpec {
 	return spec
 }
 
-// The round-trip property: spec -> Env -> EnvToSpec -> Env preserves
-// the experiment's rendered output byte-for-byte, and the recovered
-// spec lands on the same content address.
+// The round-trip property Normalize promises: a spec, its normalized
+// form, and the spec decoded from its canonical bytes all build
+// environments that render the experiment byte-for-byte alike, so a
+// cache entry keyed by the canonical form answers every spelling.
 func TestJobSpecEnvRoundTripProperty(t *testing.T) {
 	reg := Paper()
 	rng := rand.New(rand.NewSource(7))
@@ -286,35 +281,26 @@ func TestJobSpecEnvRoundTripProperty(t *testing.T) {
 		if err := spec.Validate(reg); err != nil {
 			t.Fatalf("trial %d: generated invalid spec %+v: %v", i, spec, err)
 		}
-		env, err := spec.Env()
-		if err != nil {
-			t.Fatalf("trial %d: %v", i, err)
-		}
-		back, err := EnvToSpec(spec.Experiment, env)
-		if err != nil {
-			t.Fatalf("trial %d: EnvToSpec: %v", i, err)
-		}
-		if got, want := back.Hash(), spec.Hash(); got != want {
-			t.Fatalf("trial %d: round-tripped spec re-keys: %+v -> %+v", i, spec, back)
-		}
-		env2, err := back.Env()
-		if err != nil {
-			t.Fatalf("trial %d: %v", i, err)
+		var decoded JobSpec
+		if err := json.Unmarshal(spec.MarshalCanonical(), &decoded); err != nil {
+			t.Fatalf("trial %d: canonical bytes do not decode: %v", i, err)
 		}
 		exp, ok := reg.ByID(spec.Experiment)
 		if !ok {
 			t.Fatalf("trial %d: experiment vanished", i)
 		}
-		out1, err := RenderBytes(exp, env)
-		if err != nil {
-			t.Fatalf("trial %d: render: %v", i, err)
+		var outs [3][]byte
+		for j, s := range []JobSpec{spec, spec.Normalize(), decoded} {
+			env, err := s.Env()
+			if err != nil {
+				t.Fatalf("trial %d: Env of %+v: %v", i, s, err)
+			}
+			if outs[j], err = RenderBytes(exp, env); err != nil {
+				t.Fatalf("trial %d: render %+v: %v", i, s, err)
+			}
 		}
-		out2, err := RenderBytes(exp, env2)
-		if err != nil {
-			t.Fatalf("trial %d: render round-trip: %v", i, err)
-		}
-		if !bytes.Equal(out1, out2) {
-			t.Errorf("trial %d: round-tripped env changes output for %+v", i, spec)
+		if !bytes.Equal(outs[0], outs[1]) || !bytes.Equal(outs[0], outs[2]) {
+			t.Errorf("trial %d: normalized or decoded spec changes output for %+v", i, spec)
 		}
 	}
 }

@@ -48,19 +48,7 @@ func rackNodeSweep(env Env) []int {
 	if env.Faults.Enabled() {
 		sweep = []int{2, 4}
 	}
-	if env.RackNodes > 0 {
-		var capped []int
-		for _, n := range sweep {
-			if n <= env.RackNodes {
-				capped = append(capped, n)
-			}
-		}
-		if len(capped) == 0 {
-			capped = []int{2}
-		}
-		sweep = capped
-	}
-	return sweep
+	return capSweep(sweep, env.RackNodes, 2)
 }
 
 func runExtRackNPB(w io.Writer, env Env) error {

@@ -94,12 +94,6 @@ func (r *Registry) RunAll(w io.Writer, env Env) error {
 	return nil
 }
 
-// RunAllParallel runs every experiment on a worker pool (see
-// RunExperiments); output bytes are identical to RunAll.
-func (r *Registry) RunAllParallel(w io.Writer, env Env, workers int) ([]Result, error) {
-	return RunExperiments(w, env, r.All(), workers)
-}
-
 // Paper assembles the full reproduction suite: Table 1, Figures 4–27,
 // the summary report, and the ext-* extension studies.
 func Paper() *Registry {

@@ -21,7 +21,8 @@ func runTracedFig13(t *testing.T) *simtrace.Tracer {
 	t.Helper()
 	tracer := simtrace.New()
 	tracer.SetProcess("fig13")
-	env := DefaultEnv(WithQuick(true), WithTracer(tracer))
+	env := quickEnv()
+	env.Tracer = tracer
 	e, ok := Paper().ByID("fig13")
 	if !ok {
 		t.Fatal("fig13 not registered")

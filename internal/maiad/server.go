@@ -185,12 +185,19 @@ var (
 	errSweepTooLarge = errors.New("sweep too large")
 	// errEnginePanic marks an experiment that panicked while rendering.
 	errEnginePanic = errors.New("experiment panicked")
+	// errEngineFailed marks an experiment whose Run returned an error: a
+	// server-side failure, never the client's spec.
+	errEngineFailed = errors.New("experiment failed")
 )
 
-// errorCode maps a typed validation error to its wire code.
+// errorCode maps a typed error to its wire code. Engine failures come
+// first: a render error may wrap any error, the validation sentinels
+// included, and is still the server's fault.
 func errorCode(err error) (string, int) {
 	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.Is(err, errEngineFailed):
+		return "engine_error", http.StatusInternalServerError
 	case errors.As(err, &tooLarge):
 		return "request_too_large", http.StatusRequestEntityTooLarge
 	case errors.Is(err, harness.ErrUnknownExperiment):
@@ -435,7 +442,7 @@ func (s *Server) execute(spec harness.JobSpec, key string, tracer *simtrace.Trac
 	wall := time.Since(start)
 	if err != nil {
 		s.logf("maiad: job %s (%s) failed: %v", key[:12], spec.Experiment, err)
-		return Entry{}, err
+		return Entry{}, fmt.Errorf("%w: %w", errEngineFailed, err)
 	}
 	e = Entry{
 		Result: harness.Result{

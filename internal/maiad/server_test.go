@@ -3,6 +3,7 @@ package maiad
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -663,6 +664,53 @@ func TestEnginePanicIsTyped(t *testing.T) {
 	}
 	if got := len(s.sem); got != 0 {
 		t.Errorf("%d worker slots still held after the panics", got)
+	}
+}
+
+// An experiment whose Run returns an error is the server's failure, not
+// the client's: jobs and sweeps answer 500 engine_error, and nothing is
+// cached.
+func TestEngineErrorIsTyped(t *testing.T) {
+	reg := harness.NewRegistry()
+	if err := reg.Register(harness.Experiment{
+		ID:    "fails",
+		Title: "fails mid-render",
+		Run: func(w io.Writer, env harness.Env) error {
+			return errors.New("disk full")
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Registry: reg, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := &http.Client{Timeout: 10 * time.Second}
+
+	for i, req := range []struct{ path, body string }{
+		{"/v1/jobs", `{"experiment":"fails"}`},
+		{"/v1/sweeps", `{"specs":[{"experiment":"fails"}]}`},
+	} {
+		resp, err := client.Post(ts.URL+req.path, "application/json", strings.NewReader(req.body))
+		if err != nil {
+			t.Fatalf("request %d (%s): %v", i, req.path, err)
+		}
+		var er ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("request %d (%s): decoding: %v", i, req.path, err)
+		}
+		if resp.StatusCode != http.StatusInternalServerError || er.Code != "engine_error" ||
+			!strings.Contains(er.Error, "disk full") {
+			t.Errorf("request %d (%s): status=%d code=%q err=%q, want 500 engine_error with the cause",
+				i, req.path, resp.StatusCode, er.Code, er.Error)
+		}
+	}
+	if got := s.Metrics().EngineRuns.Load(); got != 2 {
+		t.Errorf("EngineRuns = %d, want 2 (a failed render is not cached)", got)
 	}
 }
 
