@@ -57,6 +57,35 @@ func TestFig5SweepAllocBound(t *testing.T) {
 	}
 }
 
+// TestProvenSweepAllocatesNoTags pins the lazy tag arrays: the closed
+// form prices every point of the Figure 5 sweep without touching a set,
+// so the sweep allocates no cache tag memory (before the tags waited
+// for the first Fill, every hierarchy built cost its full tag arrays,
+// ~3.3 MB for this sweep). A Fill still allocates them.
+func TestProvenSweepAllocatesNoTags(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations; bound asserted in normal builds")
+	}
+	var before, after runtime.MemStats
+	withFastPath(func() {
+		runtime.ReadMemStats(&before)
+		LatencyCurve(machine.SandyBridge(), 4<<10, 64<<20)
+		LatencyCurve(machine.XeonPhi5110P(), 4<<10, 64<<20)
+		runtime.ReadMemStats(&after)
+	})
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 1<<20 {
+		t.Errorf("fig5-shaped sweep allocated %d bytes, want <= %d", bytes, 1<<20)
+	}
+	c := mustCache(t, 4096, 64, 4)
+	if c.tags != nil {
+		t.Fatal("a new cache holds tag arrays before any Fill")
+	}
+	c.Fill(0)
+	if c.tags == nil || !c.Lookup(0) {
+		t.Fatal("Fill did not install the line")
+	}
+}
+
 // TestStridedSweepAllocBound is the same guard for the strided sweep
 // behind Figures 5–6: ~4K accesses over a 16-line footprint allocate
 // only the counts slice and the engine.

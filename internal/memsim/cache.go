@@ -30,7 +30,7 @@ type Cache struct {
 	latency   vclock.Time
 
 	// tags[s] holds the line tags resident in set s in LRU order:
-	// index 0 is most recently used.
+	// index 0 is most recently used. Nil until the first Fill.
 	tags [][]uint64
 
 	hits, misses uint64
@@ -52,16 +52,22 @@ func NewCache(name string, sizeBytes, lineBytes, assoc int, latency vclock.Time)
 		sets:      sets,
 		assoc:     assoc,
 		latency:   latency,
-		tags:      make([][]uint64, sets),
-	}
-	// All sets share one flat backing array: Fill caps each set at assoc
-	// entries, so the capacity-limited subslices never reallocate, and a
-	// 16K-set L3 costs two allocations instead of 16K.
-	backing := make([]uint64, sets*assoc)
-	for i := range c.tags {
-		c.tags[i] = backing[i*assoc : i*assoc : (i+1)*assoc]
 	}
 	return c, nil
+}
+
+// allocSets allocates the tag arrays on the cache's first Fill: most
+// sweep points are priced in closed form and never touch a set, so a
+// hierarchy that is only built costs no tag memory. All sets share one
+// flat backing array: Fill caps each set at assoc entries, so the
+// capacity-limited subslices never reallocate, and a 16K-set L3 costs
+// two allocations instead of 16K.
+func (c *Cache) allocSets() {
+	c.tags = make([][]uint64, c.sets)
+	backing := make([]uint64, c.sets*c.assoc)
+	for i := range c.tags {
+		c.tags[i] = backing[i*c.assoc : i*c.assoc : (i+1)*c.assoc]
+	}
 }
 
 // Name returns the level name ("L1", "L2", ...).
@@ -80,6 +86,10 @@ func (c *Cache) line(addr uint64) uint64 { return addr / uint64(c.lineBytes) }
 // on a hit. It does NOT allocate on a miss; use Fill for that.
 func (c *Cache) Lookup(addr uint64) bool {
 	ln := c.line(addr)
+	if c.tags == nil { // nothing filled yet
+		c.misses++
+		return false
+	}
 	set := c.tags[ln%uint64(c.sets)]
 	// MRU fast path: streaming accesses re-touch the most recent line, and
 	// a hit at index 0 leaves LRU order unchanged, so no movement is
@@ -112,6 +122,9 @@ func (c *Cache) Lookup(addr uint64) bool {
 func (c *Cache) Fill(addr uint64) (evicted uint64, didEvict bool) {
 	ln := c.line(addr)
 	idx := ln % uint64(c.sets)
+	if c.tags == nil {
+		c.allocSets()
+	}
 	set := c.tags[idx]
 	// Already present? Just promote.
 	for i, tag := range set {

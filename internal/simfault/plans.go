@@ -2,7 +2,6 @@ package simfault
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"maia/internal/machine"
@@ -103,28 +102,43 @@ func Degraded() *Plan {
 	}
 }
 
+// catalog maps each plan name to its constructor, sorted by name, so
+// a lookup builds only the plan it returns.
+var catalog = []struct {
+	name  string
+	build func() *Plan
+}{
+	{"degraded", Degraded},
+	{"lossy-pcie", LossyPCIe},
+	{"phi-straggler", PhiStraggler},
+	{"phi0-down", Phi0Down},
+	{"thermal-throttle", ThermalThrottle},
+}
+
 // Plans returns the named catalog, sorted by name.
 func Plans() []*Plan {
-	all := []*Plan{PhiStraggler(), LossyPCIe(), ThermalThrottle(), Phi0Down(), Degraded()}
-	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
+	all := make([]*Plan, len(catalog))
+	for i, c := range catalog {
+		all[i] = c.build()
+	}
 	return all
 }
 
 // Names returns the catalog's plan names, sorted.
 func Names() []string {
-	plans := Plans()
-	names := make([]string, len(plans))
-	for i, p := range plans {
-		names[i] = p.Name
+	names := make([]string, len(catalog))
+	for i, c := range catalog {
+		names[i] = c.name
 	}
 	return names
 }
 
-// ByName returns the named plan, or an error listing the valid names.
+// ByName returns a fresh copy of the named plan (callers may re-seed
+// it), or an error listing the valid names.
 func ByName(name string) (*Plan, error) {
-	for _, p := range Plans() {
-		if p.Name == name {
-			return p, nil
+	for _, c := range catalog {
+		if c.name == name {
+			return c.build(), nil
 		}
 	}
 	return nil, fmt.Errorf("simfault: unknown fault plan %q (have %s)",

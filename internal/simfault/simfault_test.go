@@ -212,8 +212,31 @@ func TestCatalog(t *testing.T) {
 		if p.Note == "" {
 			t.Errorf("catalog plan %s has no note", n)
 		}
+		if p.Name != n {
+			t.Errorf("catalog entry %s builds plan %s", n, p.Name)
+		}
+		if again, _ := ByName(n); again == p {
+			t.Errorf("ByName(%s) returned the same *Plan twice", n)
+		}
 	}
 	if _, err := ByName("no-such-plan"); err == nil {
 		t.Fatal("ByName accepted an unknown plan")
+	}
+}
+
+// TestByNameBuildsOnlyItsPlan pins a lookup's cost to the named plan's
+// own construction: ByName must not build (or sort) the rest of the
+// catalog on the way.
+func TestByNameBuildsOnlyItsPlan(t *testing.T) {
+	for _, c := range catalog {
+		own := testing.AllocsPerRun(20, func() { _ = c.build() })
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := ByName(c.name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > own {
+			t.Errorf("ByName(%s) made %v allocations, its plan alone %v", c.name, got, own)
+		}
 	}
 }

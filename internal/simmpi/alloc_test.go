@@ -18,8 +18,8 @@ import (
 // messages of msgBytes each (receiver recycles) and returns the total
 // allocation count of the world run.
 func sendrecvWorldAllocs(t testing.TB, msgs, msgBytes int) float64 {
-	payload := GetPayload(msgBytes)
-	defer Recycle(payload)
+	buf := payloadPool.Get(msgBytes)
+	defer Recycle(buf)
 	return testing.AllocsPerRun(3, func() {
 		w, err := NewWorld(Config{Ranks: HostPlacement(2, 1)})
 		if err != nil {
@@ -28,7 +28,7 @@ func sendrecvWorldAllocs(t testing.TB, msgs, msgBytes int) float64 {
 		err = w.Run(func(r *Rank) {
 			if r.ID() == 0 {
 				for k := 0; k < msgs; k++ {
-					r.Send(1, 1, payload)
+					r.Send(1, 1, buf)
 				}
 			} else {
 				for k := 0; k < msgs; k++ {
@@ -146,8 +146,8 @@ func TestRackReplayAllocsIndependentOfNodes(t *testing.T) {
 // 2-rank world streaming pooled messages with a recycling receiver.
 func BenchmarkSendRecvPooled(b *testing.B) {
 	b.ReportAllocs()
-	payload := GetPayload(4096)
-	defer Recycle(payload)
+	buf := payloadPool.Get(4096)
+	defer Recycle(buf)
 	for i := 0; i < b.N; i++ {
 		w, err := NewWorld(Config{Ranks: HostPlacement(2, 1)})
 		if err != nil {
@@ -156,7 +156,7 @@ func BenchmarkSendRecvPooled(b *testing.B) {
 		err = w.Run(func(r *Rank) {
 			if r.ID() == 0 {
 				for k := 0; k < 64; k++ {
-					r.Send(1, 1, payload)
+					r.Send(1, 1, buf)
 				}
 			} else {
 				for k := 0; k < 64; k++ {

@@ -1,9 +1,7 @@
 package simmpi
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"maia/internal/simtrace"
 )
@@ -67,7 +65,7 @@ func (r *Rank) barrierImpl() {
 	for step := 1; step < n; step <<= 1 {
 		dst := (r.id + step) % n
 		src := (r.id - step + n) % n
-		r.send(dst, tagBarrier, nil)
+		r.send(dst, tagBarrier, payload{})
 		r.recv(src, tagBarrier)
 	}
 }
@@ -79,7 +77,7 @@ func (r *Rank) barrierImpl() {
 // take the van de Geijn scatter-plus-ring-allgather, which moves only
 // ~2x the message per rank — the algorithm real MPI libraries switch to
 // for payloads like Cart3D's 56 MB broadcasts (Section 6.4.2).
-func (r *Rank) bcastImpl(root int, data []byte) []byte {
+func (r *Rank) bcastImpl(root int, data payload) payload {
 	n := r.w.size
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("simmpi: Bcast root %d out of range", root))
@@ -90,16 +88,16 @@ func (r *Rank) bcastImpl(root int, data []byte) []byte {
 	if r.w.rack != nil {
 		return r.hierBcast(root, data)
 	}
-	if len(data) > r.w.cfg.BcastLongBytes && n > 2 {
+	if data.n > r.w.cfg.BcastLongBytes && n > 2 {
 		r.setAlgo("vandegeijn")
-		return r.bcastVanDeGeijn(root, data, len(data))
+		return r.bcastVanDeGeijn(root, data)
 	}
 	r.setAlgo("binomial")
 	return r.bcastBinomial(root, data)
 }
 
 // bcastBinomial is MPICH's classic binomial-tree broadcast.
-func (r *Rank) bcastBinomial(root int, data []byte) []byte {
+func (r *Rank) bcastBinomial(root int, data payload) payload {
 	n := r.w.size
 	rel := (r.id - root + n) % n
 	mask := 1
@@ -125,28 +123,25 @@ func (r *Rank) bcastBinomial(root int, data []byte) []byte {
 // bcastVanDeGeijn scatters the message down the binomial tree in blocks,
 // then ring-allgathers the blocks. Each rank moves O(2m) bytes instead
 // of the binomial tree's O(m log n) on the critical path.
-func (r *Rank) bcastVanDeGeijn(root int, data []byte, msgBytes int) []byte {
+func (r *Rank) bcastVanDeGeijn(root int, data payload) payload {
 	n := r.w.size
-	block := (msgBytes + n - 1) / n
+	block := (data.n + n - 1) / n
 	padded := block * n
 	// Root pads to a whole number of blocks (zeroed: the padding bytes
 	// travel through the scatter/allgather, so keep them deterministic).
-	var buf []byte
+	var buf payload
 	if r.id == root {
-		if r.w.cfg.SizeOnlyPayloads {
-			buf = payloadPool.Get(padded)
-		} else {
-			buf = payloadPool.GetZeroed(padded)
-			copy(buf, data)
-		}
+		buf = r.w.alloc(padded)
+		buf.copyAt(0, data)
+		clear(buf.sub(data.n, padded).b)
 	}
-	mine := r.Scatter(root, buf, block)
-	Recycle(buf)
+	mine := r.scatterImpl(root, buf, block)
+	buf.recycle()
 	// Scatter hands rank i block i, so the allgather reassembles the
 	// message in rank order regardless of the root.
-	full := r.Allgather(mine)
-	Recycle(mine)
-	return full[:msgBytes]
+	full := r.allgatherImpl(mine)
+	mine.recycle()
+	return full.sub(0, data.n)
 }
 
 // Reduce combines every rank's vector with op down a binomial tree and
@@ -166,7 +161,7 @@ func (r *Rank) reduceImpl(root int, vec []float64, op Op) []float64 {
 			dst := (r.id - mask + n) % n
 			pb := r.packF64(acc)
 			r.send(dst, tagReduce, pb)
-			Recycle(pb)
+			pb.recycle()
 			if rel == 0 {
 				break
 			}
@@ -177,7 +172,7 @@ func (r *Rank) reduceImpl(root int, vec []float64, op Op) []float64 {
 			src := (r.id + mask) % n
 			rb := r.recv(src, tagReduce)
 			other := r.unpackF64(rb)
-			Recycle(rb)
+			rb.recycle()
 			if len(other) != len(acc) {
 				panic(fmt.Sprintf("simmpi: Reduce length mismatch %d vs %d", len(other), len(acc)))
 			}
@@ -213,10 +208,10 @@ func (r *Rank) allreduceImpl(vec []float64, op Op) []float64 {
 			partner := r.id ^ mask
 			pb := r.packF64(acc)
 			r.send(partner, tagAllreduce, pb)
-			Recycle(pb)
+			pb.recycle()
 			rb := r.recv(partner, tagAllreduce)
 			other := r.unpackF64(rb)
-			Recycle(rb)
+			rb.recycle()
 			if len(other) != len(acc) {
 				panic(fmt.Sprintf("simmpi: Allreduce length mismatch %d vs %d", len(other), len(acc)))
 			}
@@ -234,19 +229,19 @@ func (r *Rank) allreduceImpl(vec []float64, op Op) []float64 {
 		return acc
 	}
 	r.setAlgo("reduce+bcast")
-	res := r.Reduce(0, vec, op)
-	var buf []byte
+	res := r.reduceImpl(0, vec, op)
+	var buf payload
 	if r.id == 0 {
 		buf = r.packF64(res)
 		RecycleF64(res)
 	} else {
 		// Only the length matters on non-root ranks (Bcast replaces or
-		// ignores the contents), so an uninitialized pooled buffer is fine.
-		buf = payloadPool.Get(8 * len(vec))
+		// ignores the contents), so uninitialized bytes are fine.
+		buf = r.w.alloc(8 * len(vec))
 	}
-	out := r.Bcast(0, buf)
+	out := r.bcastImpl(0, buf)
 	result := r.unpackF64(out)
-	Recycle(out)
+	out.recycle()
 	return result
 }
 
@@ -255,19 +250,15 @@ func (r *Rank) allreduceImpl(vec []float64, op Op) []float64 {
 // use recursive doubling; larger blocks (or non-power-of-two worlds) use
 // the ring algorithm. The size switch is what produces the step in the
 // paper's Figure 13 at 2–4 KB.
-func (r *Rank) allgatherImpl(block []byte) []byte {
+func (r *Rank) allgatherImpl(block payload) payload {
 	if r.w.rack != nil {
 		return r.hierAllgather(block)
 	}
-	n := r.w.size
-	m := len(block)
-	// Every block of out is overwritten below, so an uninitialized
-	// pooled buffer is safe. Callers own the result; Recycle returns it.
-	sizeOnly := r.w.cfg.SizeOnlyPayloads
-	out := payloadPool.Get(n * m)
-	if !sizeOnly {
-		copy(out[r.id*m:], block)
-	}
+	n, m := r.w.size, block.n
+	// Every block of out is overwritten below, so uninitialized bytes
+	// are safe. Callers own the result; Recycle returns it.
+	out := r.w.alloc(n * m)
+	out.copyAt(r.id*m, block)
 	if n == 1 {
 		return out
 	}
@@ -281,12 +272,10 @@ func (r *Rank) allgatherImpl(block []byte) []byte {
 			partner := r.id ^ mask
 			group := (r.id / mask) * mask
 			pgroup := (partner / mask) * mask
-			r.send(partner, tagAllgatherRD, out[group*m:(group+mask)*m])
+			r.send(partner, tagAllgatherRD, out.sub(group*m, (group+mask)*m))
 			incoming := r.recv(partner, tagAllgatherRD)
-			if !sizeOnly {
-				copy(out[pgroup*m:(pgroup+mask)*m], incoming)
-			}
-			Recycle(incoming)
+			out.copyAt(pgroup*m, incoming)
+			incoming.recycle()
 		}
 		return out
 	}
@@ -296,13 +285,11 @@ func (r *Rank) allgatherImpl(block []byte) []byte {
 	left := (r.id - 1 + n) % n
 	cur := r.id
 	for step := 0; step < n-1; step++ {
-		r.send(right, tagAllgatherRing, out[cur*m:(cur+1)*m])
+		r.send(right, tagAllgatherRing, out.sub(cur*m, (cur+1)*m))
 		cur = (cur - 1 + n) % n
 		data := r.recv(left, tagAllgatherRing)
-		if !sizeOnly {
-			copy(out[cur*m:(cur+1)*m], data)
-		}
-		Recycle(data)
+		out.copyAt(cur*m, data)
+		data.recycle()
 	}
 	return out
 }
@@ -311,36 +298,31 @@ func (r *Rank) allgatherImpl(block []byte) []byte {
 // received from every rank, in rank order. All blocks are blockBytes
 // long; len(data) must be Size()*blockBytes. The pairwise-exchange
 // algorithm runs n-1 communication rounds.
-func (r *Rank) alltoallImpl(data []byte, blockBytes int) []byte {
-	n := r.w.size
-	if len(data) != n*blockBytes {
-		panic(fmt.Sprintf("simmpi: Alltoall buffer %d bytes, want %d", len(data), n*blockBytes))
+func (r *Rank) alltoallImpl(data payload, blockBytes int) payload {
+	n, m := r.w.size, blockBytes
+	if data.n != n*m {
+		panic(fmt.Sprintf("simmpi: Alltoall buffer %d bytes, want %d", data.n, n*m))
 	}
 	if r.w.rack != nil {
-		return r.hierAlltoall(data, blockBytes)
+		return r.hierAlltoall(data, m)
 	}
 	r.setAlgo("pairwise")
-	sizeOnly := r.w.cfg.SizeOnlyPayloads
-	out := payloadPool.Get(n * blockBytes)
-	if !sizeOnly {
-		copy(out[r.id*blockBytes:], data[r.id*blockBytes:(r.id+1)*blockBytes])
-	}
+	out := r.w.alloc(n * m)
+	out.copyAt(r.id*m, data.sub(r.id*m, (r.id+1)*m))
 	for step := 1; step < n; step++ {
 		dst := (r.id + step) % n
 		src := (r.id - step + n) % n
-		r.send(dst, tagAlltoall, data[dst*blockBytes:(dst+1)*blockBytes])
+		r.send(dst, tagAlltoall, data.sub(dst*m, (dst+1)*m))
 		got := r.recv(src, tagAlltoall)
-		if !sizeOnly {
-			copy(out[src*blockBytes:(src+1)*blockBytes], got)
-		}
-		Recycle(got)
+		out.copyAt(src*m, got)
+		got.recycle()
 	}
 	return out
 }
 
 // Gather collects every rank's block on root (linear algorithm) and
 // returns the concatenation there, nil elsewhere.
-func (r *Rank) gatherImpl(root int, block []byte) []byte {
+func (r *Rank) gatherImpl(root int, block payload) payload {
 	n := r.w.size
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("simmpi: Gather root %d out of range", root))
@@ -348,52 +330,42 @@ func (r *Rank) gatherImpl(root int, block []byte) []byte {
 	r.setAlgo("linear")
 	if r.id != root {
 		r.send(root, tagGather, block)
-		return nil
+		return payload{}
 	}
-	m := len(block)
-	sizeOnly := r.w.cfg.SizeOnlyPayloads
-	out := payloadPool.Get(n * m)
-	if !sizeOnly {
-		copy(out[root*m:], block)
-	}
+	m := block.n
+	out := r.w.alloc(n * m)
+	out.copyAt(root*m, block)
 	for src := 0; src < n; src++ {
 		if src == root {
 			continue
 		}
 		data := r.recv(src, tagGather)
-		if !sizeOnly {
-			copy(out[src*m:(src+1)*m], data)
-		}
-		Recycle(data)
+		out.copyAt(src*m, data)
+		data.recycle()
 	}
 	return out
 }
 
 // Scatter distributes root's buffer (Size() equal blocks) and returns
 // each rank's block.
-func (r *Rank) scatterImpl(root int, data []byte, blockBytes int) []byte {
-	n := r.w.size
+func (r *Rank) scatterImpl(root int, data payload, blockBytes int) payload {
+	n, m := r.w.size, blockBytes
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("simmpi: Scatter root %d out of range", root))
 	}
 	r.setAlgo("linear")
-	if r.id == root {
-		if len(data) != n*blockBytes {
-			panic(fmt.Sprintf("simmpi: Scatter buffer %d bytes, want %d", len(data), n*blockBytes))
-		}
-		for dst := 0; dst < n; dst++ {
-			if dst == root {
-				continue
-			}
-			r.send(dst, tagScatter, data[dst*blockBytes:(dst+1)*blockBytes])
-		}
-		out := payloadPool.Get(blockBytes)
-		if !r.w.cfg.SizeOnlyPayloads {
-			copy(out, data[root*blockBytes:(root+1)*blockBytes])
-		}
-		return out
+	if r.id != root {
+		return r.recv(root, tagScatter)
 	}
-	return r.recv(root, tagScatter)
+	if data.n != n*m {
+		panic(fmt.Sprintf("simmpi: Scatter buffer %d bytes, want %d", data.n, n*m))
+	}
+	for dst := 0; dst < n; dst++ {
+		if dst != root {
+			r.send(dst, tagScatter, data.sub(dst*m, (dst+1)*m))
+		}
+	}
+	return data.sub(root*m, (root+1)*m).clone()
 }
 
 // AllreduceSum is shorthand for a one-element sum Allreduce.
@@ -407,57 +379,12 @@ func (r *Rank) AllreduceSum(x float64) float64 {
 	return v
 }
 
-// packF64, unpackF64 and combine are the size-only-aware conversion and
-// reduction hooks: a world whose rank bodies never read message
-// contents (Config.SizeOnlyPayloads) skips the per-element conversion
-// loops and the reduction arithmetic, keeping only the byte lengths —
-// which is all any modeled time derives from. Content-preserving worlds
-// take the full path.
-func (r *Rank) packF64(v []float64) []byte {
-	if r.w.cfg.SizeOnlyPayloads {
-		return payloadPool.Get(8 * len(v))
-	}
-	return f64ToBytes(v)
-}
-
-func (r *Rank) unpackF64(b []byte) []float64 {
-	if r.w.cfg.SizeOnlyPayloads {
-		return f64Pool.Get(len(b) / 8)
-	}
-	return bytesToF64(b)
-}
-
-func (r *Rank) combine(op Op, dst, src []float64) {
-	if !r.w.cfg.SizeOnlyPayloads {
-		op(dst, src)
-	}
-}
-
-// f64ToBytes and bytesToF64 move real float64 payloads through the byte
-// transport. Both draw their output from the package free lists (the
-// result is fully overwritten), so conversion scratch recycles through
-// Recycle/RecycleF64 instead of churning the heap.
-func f64ToBytes(v []float64) []byte {
-	b := payloadPool.Get(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-	return b
-}
-
-func bytesToF64(b []byte) []float64 {
-	v := f64Pool.Get(len(b) / 8)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return v
-}
-
 // --- Public collective entry points -----------------------------------
 //
 // Each wraps its implementation so the profiler attributes the whole
 // operation (including its internal point-to-point traffic) to the MPI
-// function, the way MPInside-style tools report.
+// function, the way MPInside-style tools report. The byte-slice entry
+// points convert to and from payloads here and nowhere else.
 
 // Barrier synchronizes all ranks (dissemination algorithm).
 func (r *Rank) Barrier() {
@@ -466,8 +393,10 @@ func (r *Rank) Barrier() {
 }
 
 // Bcast broadcasts root's buffer; see bcastImpl for algorithm selection.
-func (r *Rank) Bcast(root int, data []byte) (out []byte) {
-	r.collective("MPI_Bcast", int64(len(data)), func() { out = r.bcastImpl(root, data) })
+func (r *Rank) Bcast(root int, data []byte) []byte { return r.bcast(root, r.w.wrap(data)).bytes() }
+
+func (r *Rank) bcast(root int, data payload) (out payload) {
+	r.collective("MPI_Bcast", int64(data.n), func() { out = r.bcastImpl(root, data) })
 	return out
 }
 
@@ -484,25 +413,31 @@ func (r *Rank) Allreduce(vec []float64, op Op) (out []float64) {
 }
 
 // Allgather concatenates every rank's equal-size block on every rank.
-func (r *Rank) Allgather(block []byte) (out []byte) {
-	r.collective("MPI_Allgather", int64(len(block)), func() { out = r.allgatherImpl(block) })
+func (r *Rank) Allgather(block []byte) []byte { return r.allgather(r.w.wrap(block)).bytes() }
+
+func (r *Rank) allgather(block payload) (out payload) {
+	r.collective("MPI_Allgather", int64(block.n), func() { out = r.allgatherImpl(block) })
 	return out
 }
 
 // Alltoall delivers block i of every rank's buffer to rank i.
-func (r *Rank) Alltoall(data []byte, blockBytes int) (out []byte) {
-	r.collective("MPI_Alltoall", int64(len(data)), func() { out = r.alltoallImpl(data, blockBytes) })
+func (r *Rank) Alltoall(data []byte, blockBytes int) []byte {
+	return r.alltoall(r.w.wrap(data), blockBytes).bytes()
+}
+
+func (r *Rank) alltoall(data payload, blockBytes int) (out payload) {
+	r.collective("MPI_Alltoall", int64(data.n), func() { out = r.alltoallImpl(data, blockBytes) })
 	return out
 }
 
 // Gather collects every rank's block on root.
 func (r *Rank) Gather(root int, block []byte) (out []byte) {
-	r.collective("MPI_Gather", int64(len(block)), func() { out = r.gatherImpl(root, block) })
+	r.collective("MPI_Gather", int64(len(block)), func() { out = r.gatherImpl(root, r.w.wrap(block)).bytes() })
 	return out
 }
 
 // Scatter distributes root's buffer as equal blocks.
 func (r *Rank) Scatter(root int, data []byte, blockBytes int) (out []byte) {
-	r.collective("MPI_Scatter", int64(blockBytes), func() { out = r.scatterImpl(root, data, blockBytes) })
+	r.collective("MPI_Scatter", int64(blockBytes), func() { out = r.scatterImpl(root, r.w.wrap(data), blockBytes).bytes() })
 	return out
 }

@@ -1,6 +1,7 @@
 package simmpi
 
 import (
+	"runtime"
 	"testing"
 
 	"maia/internal/machine"
@@ -176,5 +177,47 @@ func TestCollectiveUnderFaults(t *testing.T) {
 	}
 	if lossy1 <= clean {
 		t.Fatalf("faulted allgather not slower: %v <= %v", lossy1, clean)
+	}
+}
+
+// seqTotalAlloc runs an Alltoall and an Allgather of blockBytes blocks
+// through RunSeq on a faulted two-node rack world of mixed host+Phi
+// nodes (the shape a faulted ext-rack-* sweep point runs on the
+// goroutine engine) and returns the bytes the run allocated.
+func seqTotalAlloc(t *testing.T, blockBytes int) uint64 {
+	t.Helper()
+	nodeLocs := append(HostPlacement(2, 1), PhiPlacement(machine.Phi0, 2, 1)...)
+	w, err := NewWorld(Config{
+		Ranks:            ReplicateNodes(nodeLocs, 2),
+		Fabric:           machine.NewRackFabric(2),
+		SizeOnlyPayloads: true,
+	}, WithFaultPlan(simfault.Degraded()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []SeqStep{{Kind: AlltoallKind, Bytes: blockBytes}, {Kind: AllgatherKind, Bytes: blockBytes}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := w.RunSeq(steps, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSizeOnlyMemoryIndependentOfBytes pins the size-only transport's
+// defining property: a message carries its length, not a buffer, so
+// the host memory a run allocates does not grow with the modeled
+// message size. Pricing 1 MB blocks must allocate about what 4 KB
+// blocks do, not the tens of MB the blocks themselves would take. It
+// reads process-wide MemStats, so it must not run in parallel.
+func TestSizeOnlyMemoryIndependentOfBytes(t *testing.T) {
+	const bound = 256 << 10
+	seqTotalAlloc(t, 4<<10) // warm the one-time costs of the first run
+	small, large := seqTotalAlloc(t, 4<<10), seqTotalAlloc(t, 1<<20)
+	t.Logf("allocated %d bytes at 4 KB blocks, %d at 1 MB", small, large)
+	if large > small+bound {
+		t.Errorf("1 MB blocks allocated %d bytes, 4 KB blocks %d: the difference exceeds %d",
+			large, small, bound)
 	}
 }

@@ -66,7 +66,7 @@ func (r *Rank) leaderOf(node int) int { return node * r.w.rack.perNode }
 // leader runs a binomial tree down its node. Every rank but the root
 // receives exactly once (the root's node rebroadcasts to the root too,
 // keeping the local phase uniform).
-func (r *Rank) hierBcast(root int, data []byte) []byte {
+func (r *Rank) hierBcast(root int, data payload) payload {
 	R, N := r.w.rack.perNode, r.w.rack.nodes
 	rootNode, rootLocal := root/R, root%R
 	k, j := r.rackNode(), r.rackLocal()
@@ -138,7 +138,7 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 			if j&mask != 0 {
 				pb := r.packF64(acc)
 				r.send(r.id-mask, tagHierUp, pb)
-				Recycle(pb)
+				pb.recycle()
 				RecycleF64(acc)
 				acc = nil
 				break
@@ -146,7 +146,7 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 			if j+mask < R {
 				rb := r.recv(r.id+mask, tagHierUp)
 				other := r.unpackF64(rb)
-				Recycle(rb)
+				rb.recycle()
 				r.combine(op, acc, other)
 				RecycleF64(other)
 			}
@@ -161,10 +161,10 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 				pk := k ^ mask
 				pb := r.packF64(acc)
 				r.send(r.leaderOf(pk), tagHierInter, pb)
-				Recycle(pb)
+				pb.recycle()
 				rb := r.recv(r.leaderOf(pk), tagHierInter)
 				other := r.unpackF64(rb)
-				Recycle(rb)
+				rb.recycle()
 				// Fixed combine order by node id keeps every leader's
 				// result identical (same rule as the flat rd).
 				if k < pk {
@@ -184,7 +184,7 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 				if k&mask != 0 {
 					pb := r.packF64(acc)
 					r.send(r.leaderOf(k-mask), tagHierInter, pb)
-					Recycle(pb)
+					pb.recycle()
 					RecycleF64(acc)
 					acc = nil
 					break
@@ -192,7 +192,7 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 				if k+mask < N {
 					rb := r.recv(r.leaderOf(k+mask), tagHierInter)
 					other := r.unpackF64(rb)
-					Recycle(rb)
+					rb.recycle()
 					r.combine(op, acc, other)
 					RecycleF64(other)
 				}
@@ -204,7 +204,7 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 				if k&mask != 0 {
 					rb := r.recv(r.leaderOf(k-mask), tagHierInter)
 					acc = r.unpackF64(rb)
-					Recycle(rb)
+					rb.recycle()
 					break
 				}
 				mask <<= 1
@@ -214,7 +214,7 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 				if k+mask < N {
 					pb := r.packF64(acc)
 					r.send(r.leaderOf(k+mask), tagHierInter, pb)
-					Recycle(pb)
+					pb.recycle()
 				}
 				mask >>= 1
 			}
@@ -227,7 +227,7 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 			if j&mask != 0 {
 				rb := r.recv(r.id-mask, tagHierDown)
 				acc = r.unpackF64(rb)
-				Recycle(rb)
+				rb.recycle()
 				break
 			}
 			mask <<= 1
@@ -237,7 +237,7 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 			if j+mask < R {
 				pb := r.packF64(acc)
 				r.send(r.id+mask, tagHierDown, pb)
-				Recycle(pb)
+				pb.recycle()
 			}
 			mask >>= 1
 		}
@@ -250,26 +250,21 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 // while the node block fits the rd regime, otherwise a Gray-code ring
 // whose every step is a single cube hop (plain ring on non-power-of-two
 // node counts) — and broadcasts the assembled result down each node.
-func (r *Rank) hierAllgather(block []byte) []byte {
+func (r *Rank) hierAllgather(block payload) payload {
 	R, N := r.w.rack.perNode, r.w.rack.nodes
 	k, j := r.rackNode(), r.rackLocal()
-	n, m := r.w.size, len(block)
-	sizeOnly := r.w.cfg.SizeOnlyPayloads
-	out := payloadPool.Get(n * m)
+	n, m := r.w.size, block.n
+	out := r.w.alloc(n * m)
 	// Phase 1: linear gather to the leader.
 	if R > 1 && j != 0 {
 		r.send(r.leaderOf(k), tagHierUp, block)
 	}
 	if j == 0 {
-		if !sizeOnly {
-			copy(out[r.id*m:], block)
-		}
+		out.copyAt(r.id*m, block)
 		for src := 1; src < R; src++ {
 			d := r.recv(r.id+src, tagHierUp)
-			if !sizeOnly {
-				copy(out[(r.id+src)*m:], d)
-			}
-			Recycle(d)
+			out.copyAt((r.id+src)*m, d)
+			d.recycle()
 		}
 	}
 	// Phase 2: leaders exchange node blocks (R*m bytes each) across the
@@ -283,12 +278,10 @@ func (r *Rank) hierAllgather(block []byte) []byte {
 				pk := k ^ mask
 				group := (k / mask) * mask
 				pgroup := (pk / mask) * mask
-				r.send(r.leaderOf(pk), tagHierInter, out[group*nb:(group+mask)*nb])
+				r.send(r.leaderOf(pk), tagHierInter, out.sub(group*nb, (group+mask)*nb))
 				inc := r.recv(r.leaderOf(pk), tagHierInter)
-				if !sizeOnly {
-					copy(out[pgroup*nb:(pgroup+mask)*nb], inc)
-				}
-				Recycle(inc)
+				out.copyAt(pgroup*nb, inc)
+				inc.recycle()
 			}
 		case N&(N-1) == 0:
 			// Gray-code ring: consecutive ring positions differ in one
@@ -299,13 +292,11 @@ func (r *Rank) hierAllgather(block []byte) []byte {
 			left := grayCode((p - 1 + N) % N)
 			cur := k
 			for step := 0; step < N-1; step++ {
-				r.send(r.leaderOf(right), tagHierInter, out[cur*nb:(cur+1)*nb])
+				r.send(r.leaderOf(right), tagHierInter, out.sub(cur*nb, (cur+1)*nb))
 				cur = grayCode((p - step - 1 + N) % N)
 				d := r.recv(r.leaderOf(left), tagHierInter)
-				if !sizeOnly {
-					copy(out[cur*nb:(cur+1)*nb], d)
-				}
-				Recycle(d)
+				out.copyAt(cur*nb, d)
+				d.recycle()
 			}
 		default:
 			r.setAlgo("hier:ring")
@@ -313,13 +304,11 @@ func (r *Rank) hierAllgather(block []byte) []byte {
 			left := (k - 1 + N) % N
 			cur := k
 			for step := 0; step < N-1; step++ {
-				r.send(r.leaderOf(right), tagHierInter, out[cur*nb:(cur+1)*nb])
+				r.send(r.leaderOf(right), tagHierInter, out.sub(cur*nb, (cur+1)*nb))
 				cur = (cur - 1 + N) % N
 				d := r.recv(r.leaderOf(left), tagHierInter)
-				if !sizeOnly {
-					copy(out[cur*nb:(cur+1)*nb], d)
-				}
-				Recycle(d)
+				out.copyAt(cur*nb, d)
+				d.recycle()
 			}
 		}
 	}
@@ -329,10 +318,8 @@ func (r *Rank) hierAllgather(block []byte) []byte {
 		for mask < R {
 			if j&mask != 0 {
 				d := r.recv(r.id-mask, tagHierDown)
-				if !sizeOnly {
-					copy(out, d)
-				}
-				Recycle(d)
+				out.copyAt(0, d)
+				d.recycle()
 				break
 			}
 			mask <<= 1
@@ -354,48 +341,35 @@ func (r *Rank) hierAllgather(block []byte) []byte {
 // uniformly — shifted pairs otherwise), and scatters each rank's
 // received row back down the node. The inter-node phase moves R-times
 // fewer, R^2-times larger messages than the flat pairwise exchange.
-func (r *Rank) hierAlltoall(data []byte, blockBytes int) []byte {
+func (r *Rank) hierAlltoall(data payload, blockBytes int) payload {
 	R, N := r.w.rack.perNode, r.w.rack.nodes
 	k, j := r.rackNode(), r.rackLocal()
 	n, m := r.w.size, blockBytes
-	sizeOnly := r.w.cfg.SizeOnlyPayloads
 	r.setAlgo("hier:pairwise")
-	out := payloadPool.Get(n * m)
 	// Phase 1: non-leaders ship their whole buffer to the leader.
 	if j != 0 {
 		r.send(r.leaderOf(k), tagHierUp, data)
-		d := r.recv(r.leaderOf(k), tagHierDown)
-		if !sizeOnly {
-			copy(out, d)
-		}
-		Recycle(d)
-		return out
+		return r.recv(r.leaderOf(k), tagHierDown)
 	}
-	// Leader: agg[localSrc][globalDst] holds the node's outgoing blocks.
-	var agg []byte
+	// Leader: agg[localSrc][globalDst] holds the node's outgoing blocks;
+	// row returns localSrc's n*m-byte row.
+	agg := data
 	if R > 1 {
-		agg = payloadPool.Get(R * n * m)
-		if !sizeOnly {
-			copy(agg[:n*m], data)
-		}
+		agg = r.w.alloc(R * n * m)
+		agg.copyAt(0, data)
 		for src := 1; src < R; src++ {
 			d := r.recv(r.id+src, tagHierUp)
-			if !sizeOnly {
-				copy(agg[src*n*m:(src+1)*n*m], d)
-			}
-			Recycle(d)
+			agg.copyAt(src*n*m, d)
+			d.recycle()
 		}
-	} else {
-		agg = data
 	}
+	row := func(p payload, local int) payload { return p.sub(local*n*m, (local+1)*n*m) }
 	// res[localDst][globalSrc] accumulates the node's incoming blocks.
-	res := payloadPool.Get(R * n * m)
-	if !sizeOnly {
-		for jj := 0; jj < R; jj++ {
-			for l := 0; l < R; l++ {
-				src := (k*R + jj) * m
-				copy(res[l*n*m+src:l*n*m+src+m], agg[jj*n*m+(k*R+l)*m:jj*n*m+(k*R+l)*m+m])
-			}
+	res := r.w.alloc(R * n * m)
+	for jj := 0; jj < R; jj++ {
+		for l := 0; l < R; l++ {
+			src, dst := (k*R+jj)*m, (k*R+l)*m
+			res.copyAt(l*n*m+src, row(agg, jj).sub(dst, dst+m))
 		}
 	}
 	// Phase 2: aggregated pairwise exchange across the cube. The wire
@@ -407,39 +381,33 @@ func (r *Rank) hierAlltoall(data []byte, blockBytes int) []byte {
 		} else {
 			dstNode, srcNode = (k+step)%N, (k-step+N)%N
 		}
-		sb := payloadPool.Get(R * R * m)
-		if !sizeOnly {
-			for jj := 0; jj < R; jj++ {
-				for l := 0; l < R; l++ {
-					dst := (dstNode*R + l) * m
-					copy(sb[(jj*R+l)*m:(jj*R+l+1)*m], agg[jj*n*m+dst:jj*n*m+dst+m])
-				}
+		sb := r.w.alloc(R * R * m)
+		for jj := 0; jj < R; jj++ {
+			for l := 0; l < R; l++ {
+				dst := (dstNode*R + l) * m
+				sb.copyAt((jj*R+l)*m, row(agg, jj).sub(dst, dst+m))
 			}
 		}
 		r.send(r.leaderOf(dstNode), tagHierInter, sb)
-		Recycle(sb)
+		sb.recycle()
 		d := r.recv(r.leaderOf(srcNode), tagHierInter)
-		if !sizeOnly {
-			for jj := 0; jj < R; jj++ {
-				for l := 0; l < R; l++ {
-					src := (srcNode*R + jj) * m
-					copy(res[l*n*m+src:l*n*m+src+m], d[(jj*R+l)*m:(jj*R+l+1)*m])
-				}
+		for jj := 0; jj < R; jj++ {
+			for l := 0; l < R; l++ {
+				src := (srcNode*R + jj) * m
+				res.copyAt(l*n*m+src, d.sub((jj*R+l)*m, (jj*R+l+1)*m))
 			}
 		}
-		Recycle(d)
+		d.recycle()
 	}
 	if R > 1 {
-		Recycle(agg)
+		agg.recycle()
 	}
 	// Phase 3: linear scatter of each local rank's result row.
-	if !sizeOnly {
-		copy(out, res[:n*m])
-	}
 	for l := 1; l < R; l++ {
-		r.send(r.id+l, tagHierDown, res[l*n*m:(l+1)*n*m])
+		r.send(r.id+l, tagHierDown, row(res, l))
 	}
-	Recycle(res)
+	out := row(res, 0).clone()
+	res.recycle()
 	return out
 }
 

@@ -47,10 +47,11 @@ func (req *Request) Wait() []byte {
 		return req.data
 	}
 	t0 := req.rank.clock.Now()
-	req.data = req.rank.recvAt(req.src, req.tag, req.post)
+	p := req.rank.recvAt(req.src, req.tag, req.post)
+	req.data = p.bytes()
 	if !req.rank.inColl {
-		req.rank.record("MPI_Wait", int64(len(req.data)), req.rank.clock.Now()-t0)
-		req.rank.traceOp("MPI_Wait", int64(len(req.data)), t0)
+		req.rank.record("MPI_Wait", int64(p.n), req.rank.clock.Now()-t0)
+		req.rank.traceOp("MPI_Wait", int64(p.n), t0)
 	}
 	req.done = true
 	return req.data
@@ -74,7 +75,7 @@ func Waitall(reqs []*Request) [][]byte {
 // backoff before the retransmission, and the (derated) successful
 // flight lands after the accumulated penalty. Everything is charged to
 // the receiver's virtual clock — wall-clock behavior is unchanged.
-func (r *Rank) recvAt(src, tag int, post vclock.Time) []byte {
+func (r *Rank) recvAt(src, tag int, post vclock.Time) payload {
 	w := r.w
 	box := w.boxes[r.id]
 	box.mu.Lock()
@@ -101,7 +102,7 @@ func (r *Rank) recvAt(src, tag int, post vclock.Time) []byte {
 	}
 	box.mu.Unlock()
 
-	_, flight, rendezvous := w.transferCost(src, r.id, len(msg.data))
+	_, flight, rendezvous := w.transferCost(src, r.id, msg.data.n)
 	start := msg.sendTime
 	if rendezvous {
 		start = vclock.Max(msg.sendTime, post)
@@ -112,7 +113,7 @@ func (r *Rank) recvAt(src, tag int, post vclock.Time) []byte {
 			penalty := f.RetryPenalty(attempts)
 			if r.tracer != nil {
 				r.tracer.Span(r.track, simtrace.CatFault, "retry["+w.fabricName(src, r.id)+"]",
-					start, start+penalty, int64(len(msg.data)))
+					start, start+penalty, int64(msg.data.n))
 				r.tracer.Count(simtrace.CatFault, "mpi_retries", int64(attempts-1))
 			}
 			start += penalty
@@ -121,7 +122,7 @@ func (r *Rank) recvAt(src, tag int, post vclock.Time) []byte {
 	done := start + flight
 	r.clock.AdvanceTo(done)
 	if r.tracer != nil {
-		r.tracer.Span(r.track, simtrace.CatPCIe, w.fabricName(src, r.id), start, done, int64(len(msg.data)))
+		r.tracer.Span(r.track, simtrace.CatPCIe, w.fabricName(src, r.id), start, done, int64(msg.data.n))
 	}
 	return msg.data
 }

@@ -15,7 +15,7 @@ import (
 func pipelineBody(msg, rounds int, compute vclock.Time) func(r *Rank) {
 	return func(r *Rank) {
 		n, id := r.Size(), r.ID()
-		buf := GetPayload(msg)
+		buf := payloadPool.Get(msg)
 		for p := 0; p < rounds; p++ {
 			if id > 0 {
 				Recycle(r.Recv(id-1, p))

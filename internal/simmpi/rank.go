@@ -82,39 +82,32 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 	if tag < 0 {
 		panic(fmt.Sprintf("simmpi: negative user tag %d", tag))
 	}
-	r.send(dst, tag, data)
+	r.send(dst, tag, r.w.wrap(data))
 }
 
 // send is the internal path shared with collectives (which use negative
-// tags from the reserved space).
-func (r *Rank) send(dst, tag int, data []byte) {
+// tags from the reserved space). The message owns a copy of the
+// payload's bytes, if it has any, so the caller may reuse its buffer.
+func (r *Rank) send(dst, tag int, p payload) {
 	if !r.inColl {
 		defer func(t0 vclock.Time) {
-			r.record("MPI_Send", int64(len(data)), r.clock.Now()-t0)
-			r.traceOp("MPI_Send", int64(len(data)), t0)
+			r.record("MPI_Send", int64(p.n), r.clock.Now()-t0)
+			r.traceOp("MPI_Send", int64(p.n), t0)
 		}(r.clock.Now())
 	}
 	tsPost := r.clock.Now()
-	sendSide, _, _ := r.w.transferCost(r.id, dst, len(data))
+	sendSide, _, _ := r.w.transferCost(r.id, dst, p.n)
 	r.clock.Advance(sendSide)
 	if r.tracer != nil {
-		r.tracer.Span(r.track, simtrace.CatCompute, "inject", tsPost, r.clock.Now(), int64(len(data)))
+		r.tracer.Span(r.track, simtrace.CatCompute, "inject", tsPost, r.clock.Now(), int64(p.n))
 		r.tracer.Count(simtrace.CatMPI, "messages", 1)
-		r.tracer.Count(simtrace.CatMPI, "bytes", int64(len(data)))
-	}
-
-	// The message owns a pooled buffer of the payload's exact length; in
-	// size-only mode the bytes themselves are never read, so the copy is
-	// skipped and the buffer rides along uninitialized.
-	buf := payloadPool.Get(len(data))
-	if !r.w.cfg.SizeOnlyPayloads {
-		copy(buf, data)
+		r.tracer.Count(simtrace.CatMPI, "bytes", int64(p.n))
 	}
 	seq := r.sendSeq
 	r.sendSeq++
 	box := r.w.boxes[dst]
 	box.mu.Lock()
-	box.bySrc[r.id] = append(box.bySrc[r.id], message{tag: tag, data: buf, sendTime: tsPost, seq: seq})
+	box.bySrc[r.id] = append(box.bySrc[r.id], message{tag: tag, data: p.clone(), sendTime: tsPost, seq: seq})
 	box.cond.Signal()
 	box.mu.Unlock()
 }
@@ -125,19 +118,19 @@ func (r *Rank) Recv(src, tag int) []byte {
 	if src == r.id || src < 0 || src >= r.w.size {
 		panic(fmt.Sprintf("simmpi: rank %d receives from invalid rank %d", r.id, src))
 	}
-	return r.recv(src, tag)
+	return r.recv(src, tag).bytes()
 }
 
-func (r *Rank) recv(src, tag int) []byte {
+func (r *Rank) recv(src, tag int) payload {
 	// A blocking receive is a nonblocking receive posted and completed
 	// at the same instant.
 	t0 := r.clock.Now()
-	data := r.recvAt(src, tag, t0)
+	p := r.recvAt(src, tag, t0)
 	if !r.inColl {
-		r.record("MPI_Recv", int64(len(data)), r.clock.Now()-t0)
-		r.traceOp("MPI_Recv", int64(len(data)), t0)
+		r.record("MPI_Recv", int64(p.n), r.clock.Now()-t0)
+		r.traceOp("MPI_Recv", int64(p.n), t0)
 	}
-	return data
+	return p
 }
 
 // Sendrecv sends to dst and receives from src in one exchange (the shape

@@ -29,6 +29,28 @@ func withFastPath(fn func()) {
 	fn()
 }
 
+// tracedCounters prices a traced world built from cfg and returns its
+// mpi/messages and mpi/bytes counters; price reports whether it priced
+// anything (a replay refusal has nothing to count).
+func tracedCounters(t *testing.T, cfg Config, price func(w *World) bool) (msgs, bytes int64, ok bool) {
+	t.Helper()
+	tr := simtrace.New()
+	w, err := NewWorld(cfg, WithTracer(tr, "counters"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok = price(w)
+	for _, c := range tr.Counters() {
+		switch c.Key {
+		case simtrace.CounterKey{Cat: simtrace.CatMPI, Name: "messages"}:
+			msgs = c.Value
+		case simtrace.CounterKey{Cat: simtrace.CatMPI, Name: "bytes"}:
+			bytes = c.Value
+		}
+	}
+	return msgs, bytes, ok
+}
+
 // checkCounters pins the replay's trace counters to the goroutine
 // engine's: a traced replay must count the same mpi/messages and
 // mpi/bytes as a traced full run of the same world. fast prices on the
@@ -37,30 +59,13 @@ func withFastPath(fn func()) {
 func checkCounters(t *testing.T, cfg Config, fast func(w *World) bool, slow func(w *World) error) {
 	t.Helper()
 	cfg.SizeOnlyPayloads = true
-	count := func(price func(w *World) bool) (msgs, bytes int64, ok bool) {
-		tr := simtrace.New()
-		w, err := NewWorld(cfg, WithTracer(tr, "counters"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ok = price(w)
-		for _, c := range tr.Counters() {
-			switch c.Key {
-			case simtrace.CounterKey{Cat: simtrace.CatMPI, Name: "messages"}:
-				msgs = c.Value
-			case simtrace.CounterKey{Cat: simtrace.CatMPI, Name: "bytes"}:
-				bytes = c.Value
-			}
-		}
-		return msgs, bytes, ok
-	}
 	var fm, fb int64
 	var ok bool
-	withFastPath(func() { fm, fb, ok = count(fast) })
+	withFastPath(func() { fm, fb, ok = tracedCounters(t, cfg, fast) })
 	if !ok {
 		return
 	}
-	sm, sb, _ := count(func(w *World) bool {
+	sm, sb, _ := tracedCounters(t, cfg, func(w *World) bool {
 		if err := slow(w); err != nil {
 			t.Fatal(err)
 		}

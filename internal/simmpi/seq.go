@@ -87,44 +87,41 @@ func (w *World) validateSeq(steps []SeqStep) error {
 
 // seqBody is the goroutine-engine execution of a script: the fallback
 // the replay is pinned against, and the only path under fault plans or
-// MAIA_NO_FASTPATH.
+// MAIA_NO_FASTPATH. It drives the transport's payload values directly,
+// so a size-only world moves lengths and allocates no message bytes.
 func seqBody(r *Rank, steps []SeqStep, iters int) {
 	n, id := r.Size(), r.ID()
 	for it := 0; it < iters; it++ {
 		for _, st := range steps {
 			if st.Kind == PipelineKind && id > 0 {
-				Recycle(r.Recv(id-1, 0))
+				r.recv(id-1, 0).recycle()
 			}
 			if c := stepCompute(id, st.Compute, st.ComputePer); c > 0 {
 				r.Compute(c)
 			}
+			var buf payload
 			switch st.Kind {
 			case ComputeStep:
 			case PipelineKind:
 				if id < n-1 {
-					buf := GetPayload(st.Bytes)
-					r.Send(id+1, 0, buf)
-					Recycle(buf)
+					buf = r.w.alloc(st.Bytes)
+					r.send(id+1, 0, buf)
 				}
 			case PairKind:
 				partner := id ^ 1
-				buf := GetPayload(stepRankBytes(id, st.Bytes, st.BytesPer))
-				Recycle(r.Sendrecv(partner, 0, buf, partner, 0))
-				Recycle(buf)
+				buf = r.w.alloc(stepRankBytes(id, st.Bytes, st.BytesPer))
+				r.send(partner, 0, buf)
+				r.recv(partner, 0).recycle()
 			case RingKind:
 				sh := seqShift(st, n)
-				right := (id + sh) % n
-				left := (id - sh + n) % n
-				buf := GetPayload(stepRankBytes(id, st.Bytes, st.BytesPer))
-				Recycle(r.Sendrecv(right, 0, buf, left, 0))
-				Recycle(buf)
+				buf = r.w.alloc(stepRankBytes(id, st.Bytes, st.BytesPer))
+				r.send((id+sh)%n, 0, buf)
+				r.recv((id-sh+n)%n, 0).recycle()
 			case BcastKind:
-				buf := GetPayload(st.Bytes)
-				out := r.Bcast(0, buf)
-				if id != 0 {
-					Recycle(out)
+				buf = r.w.alloc(st.Bytes)
+				if out := r.bcast(0, buf); id != 0 {
+					out.recycle()
 				}
-				Recycle(buf)
 			case AllreduceKind:
 				elems := st.Bytes / 8
 				if elems < 1 {
@@ -134,14 +131,13 @@ func seqBody(r *Rank, steps []SeqStep, iters int) {
 				RecycleF64(r.Allreduce(vec, OpSum))
 				RecycleF64(vec)
 			case AllgatherKind:
-				buf := GetPayload(st.Bytes)
-				Recycle(r.Allgather(buf))
-				Recycle(buf)
+				buf = r.w.alloc(st.Bytes)
+				r.allgather(buf).recycle()
 			case AlltoallKind:
-				buf := GetPayload(n * st.Bytes)
-				Recycle(r.Alltoall(buf, st.Bytes))
-				Recycle(buf)
+				buf = r.w.alloc(n * st.Bytes)
+				r.alltoall(buf, st.Bytes).recycle()
 			}
+			buf.recycle()
 		}
 	}
 }

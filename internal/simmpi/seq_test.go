@@ -1,6 +1,7 @@
 package simmpi
 
 import (
+	"reflect"
 	"testing"
 
 	"maia/internal/machine"
@@ -77,6 +78,9 @@ func decodeSeqFuzz(data []byte) (Config, []SeqStep, int, bool) {
 // small flat worlds: a script validateSeq accepts runs on the goroutine
 // engine without error, and wherever the replay engages its total and
 // its mpi/messages and mpi/bytes counters equal the goroutine run's.
+// Each accepted script also runs on a content-preserving world, whose
+// makespan, profiles and counters must equal the size-only run's: a
+// message's length alone sets every modeled number.
 func FuzzSeqStep(f *testing.F) {
 	step := func(kind CollectiveKind, bytes, computeUS, flags, aux int) []byte {
 		return []byte{byte(kind), byte(bytes), byte(bytes >> 8), byte(computeUS), byte(flags), byte(aux)}
@@ -130,5 +134,39 @@ func FuzzSeqStep(f *testing.F) {
 				total, w.MaxTime(), len(cfg.Ranks), iters, steps)
 		}
 		checkSeqCounters(t, cfg, steps, iters)
+		checkContentMatchesSizeOnly(t, cfg, w, steps, iters)
 	})
+}
+
+// checkContentMatchesSizeOnly runs a script on a content-preserving
+// copy of cfg and requires the makespan, the rank profiles and the
+// mpi/messages and mpi/bytes counters of sizeOnly, the size-only run.
+func checkContentMatchesSizeOnly(t *testing.T, cfg Config, sizeOnly *World, steps []SeqStep, iters int) {
+	t.Helper()
+	content := cfg
+	content.SizeOnlyPayloads = false
+	cw, err := NewWorld(content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.RunSeq(steps, iters); err != nil {
+		t.Fatalf("content-preserving run failed: %v\n%+v", err, steps)
+	}
+	if cw.MaxTime() != sizeOnly.MaxTime() {
+		t.Fatalf("content-preserving run %v, size-only run %v\n%+v", cw.MaxTime(), sizeOnly.MaxTime(), steps)
+	}
+	if !reflect.DeepEqual(cw.Profiles(), sizeOnly.Profiles()) {
+		t.Fatalf("profiles differ:\ncontent-preserving %+v\nsize-only %+v", cw.Profiles(), sizeOnly.Profiles())
+	}
+	run := func(w *World) bool {
+		if err := w.RunSeq(steps, iters); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	}
+	cm, cb, _ := tracedCounters(t, content, run)
+	sm, sb, _ := tracedCounters(t, cfg, run)
+	if cm != sm || cb != sb {
+		t.Fatalf("content-preserving run counted %d messages / %d bytes, size-only %d / %d", cm, cb, sm, sb)
+	}
 }

@@ -1,5 +1,6 @@
 // Package simmpi is a virtual-time MPI runtime. Ranks are goroutines that
-// exchange real bytes through a deterministic matching engine; every
+// exchange messages through a deterministic matching engine (real bytes,
+// or only their lengths in a size-only world); every
 // transfer is charged virtual time from a LogGP-style cost model over the
 // modeled fabrics:
 //
@@ -73,13 +74,14 @@ type Config struct {
 	// several worlds can share one tracer without track collisions.
 	TraceLabel string
 	// SizeOnlyPayloads declares that the world's rank bodies never read
-	// message contents — only sizes matter. The transport then skips
-	// copying (and zeroing) payload bytes: every message and collective
-	// result keeps its exact byte length, but the contents are
-	// unspecified. All virtual times, profiles, and trace records derive
-	// from lengths alone, so modeled results are identical to a
-	// content-preserving run. Communication-pattern scripts (the NPB MPI
-	// driver, the IMB-style micro-benchmarks) run in this mode.
+	// message contents — only sizes matter. Messages then carry their
+	// length and no bytes: the transport allocates no payload buffer, so
+	// host memory does not grow with the modeled message size. All
+	// virtual times, profiles, and trace records derive from lengths
+	// alone, so modeled results are identical to a content-preserving
+	// run. The byte-slice API still hands out exact-length slices, with
+	// unspecified contents. Communication-pattern scripts (RunSeq,
+	// SeqTime, the IMB-style micro-benchmarks) run in this mode.
 	SizeOnlyPayloads bool
 	// Faults, when non-nil, is the deterministic fault plan the world
 	// runs under: straggler/throttle compute derating and lossy-fabric
@@ -214,7 +216,7 @@ func pciePath(a, b machine.Device) pcie.Path {
 // message is one in-flight point-to-point message.
 type message struct {
 	tag  int
-	data []byte
+	data payload
 	// sendTime is the sender's virtual clock when the send was posted.
 	sendTime vclock.Time
 	// seq is the sender's program-order send number, identifying the
