@@ -140,6 +140,38 @@ func TestOutputSpotChecks(t *testing.T) {
 	}
 }
 
+// The report's headline claims all hold on the default machine. The
+// golden pins report.txt byte for byte, so an -update after a model
+// change would pin a FAIL verdict as readily as a PASS; this test
+// refuses any FAIL row, whatever the golden says.
+func TestReportHasNoFailingClaim(t *testing.T) {
+	e, ok := Paper().ByID("report")
+	if !ok {
+		t.Fatal("report missing")
+	}
+	var buf bytes.Buffer
+	if err := e.Run(&buf, DefaultEnv()); err != nil {
+		t.Fatal(err)
+	}
+	pass := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue
+		}
+		switch f[len(f)-1] {
+		case "PASS":
+			pass++
+		case "FAIL":
+			t.Errorf("report renders a failing claim: %s", line)
+		}
+	}
+	want := fmt.Sprintf("%d/%d headline claims reproduce", pass, pass)
+	if pass == 0 || !strings.Contains(buf.String(), want) {
+		t.Errorf("report reads %d PASS rows but no %q line:\n%s", pass, want, buf.String())
+	}
+}
+
 // RunAll stitches every experiment together with headers.
 func TestRunAll(t *testing.T) {
 	var buf bytes.Buffer

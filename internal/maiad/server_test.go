@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"maia/internal/harness"
+	"maia/internal/machine"
+	"maia/internal/simomp"
 )
 
 // newTestServer boots a golden-seeded server over the paper registry.
@@ -664,6 +666,59 @@ func TestEnginePanicIsTyped(t *testing.T) {
 	}
 	if got := len(s.sem); got != 0 {
 		t.Errorf("%d worker slots still held after the panics", got)
+	}
+}
+
+// A panic on a goroutine the experiment starts — here a simomp worker
+// running a loop body — reaches execute's recover like a panic on the
+// request goroutine: the job answers 500 engine_panic, and the daemon
+// lives to serve the next request.
+func TestWorkerPanicIsTyped(t *testing.T) {
+	reg := harness.NewRegistry()
+	for _, e := range []harness.Experiment{
+		{
+			ID:    "omp-boom",
+			Title: "panics inside a simomp loop body",
+			Run: func(w io.Writer, env harness.Env) error {
+				part := machine.HostCoresPartition(machine.NewNode(), 4, 1)
+				simomp.NewTeam(simomp.New(part)).ParallelFor(16, simomp.ForOpts{}, func(i int) {
+					if i == 9 {
+						panic("worker boom")
+					}
+				})
+				return nil
+			},
+		},
+		{
+			ID:    "fine",
+			Title: "renders",
+			Run: func(w io.Writer, env harness.Env) error {
+				_, err := fmt.Fprintln(w, "still serving")
+				return err
+			},
+		},
+	} {
+		if err := reg.Register(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Config{Registry: reg, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var er ErrorResponse
+	if code := postJob(t, ts.URL+"/v1/jobs", `{"experiment":"omp-boom"}`, &er); code != http.StatusInternalServerError ||
+		er.Code != "engine_panic" || !strings.Contains(er.Error, "worker boom") {
+		t.Errorf("panicking worker: status=%d code=%q err=%q, want 500 engine_panic naming the panic",
+			code, er.Code, er.Error)
+	}
+	var jr JobResponse
+	if code := postJob(t, ts.URL+"/v1/jobs", `{"experiment":"fine"}`, &jr); code != http.StatusOK ||
+		!strings.Contains(jr.Output, "still serving") {
+		t.Errorf("next job: status=%d output=%q, want 200 with its render", code, jr.Output)
 	}
 }
 

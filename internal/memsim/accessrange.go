@@ -3,9 +3,11 @@ package memsim
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"maia/internal/machine"
 	"maia/internal/vclock"
+	"maia/internal/workgroup"
 )
 
 // RangeStats aggregates what a batch of accesses observed: how many
@@ -95,7 +97,8 @@ func (h *Hierarchy) AccessRangeInto(counts []uint64, addr uint64, n int, stride 
 // returns once all points finish. Points must be independent; callers
 // keep determinism by writing results into index i, mirroring the
 // harness engine's ordered-merge pattern. With one usable CPU (or one
-// point) it degenerates to a plain sequential loop.
+// point) it degenerates to a plain sequential loop. A panic in fn
+// re-raises on the caller once every worker has stopped.
 func sweepPoints(n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -107,22 +110,22 @@ func sweepPoints(n int, fn func(i int)) {
 		}
 		return
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
+	// Workers claim points from a shared counter, so a worker that
+	// panics leaves its share to the others instead of stalling a feeder.
+	var next atomic.Int64
+	g := workgroup.New(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
+		g.Go(func() {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
 				fn(i)
 			}
-		}()
+		})
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	g.Wait()
 }
 
 // sweepHier is sweepPoints with a worker-local hierarchy: building a

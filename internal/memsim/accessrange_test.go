@@ -2,6 +2,8 @@ package memsim
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"maia/internal/machine"
@@ -138,4 +140,28 @@ func TestAccessRangeEdgeCases(t *testing.T) {
 	if st.LevelCounts[0] != 99 {
 		t.Fatalf("zero stride: %d L1 hits, want 99", st.LevelCounts[0])
 	}
+}
+
+// A panic in a sweep worker re-raises on the goroutine that called
+// sweepPoints, after the other workers have run every remaining point,
+// instead of killing the process from a goroutine nobody recovers.
+func TestSweepPointsWorkerPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // force worker goroutines
+	const n = 64
+	var ran atomic.Int32
+	defer func() {
+		if p := recover(); p != "point 5" {
+			t.Fatalf("recovered %v, want the worker's panic", p)
+		}
+		if got := ran.Load(); got != n-1 {
+			t.Fatalf("%d of the other %d points ran", got, n-1)
+		}
+	}()
+	sweepPoints(n, func(i int) {
+		if i == 5 {
+			panic("point 5")
+		}
+		ran.Add(1)
+	})
+	t.Fatal("sweepPoints returned after a worker panicked")
 }

@@ -35,7 +35,7 @@ func TestChaseLatencySweepAllocBound(t *testing.T) {
 
 // TestFig5SweepAllocBound pins the end-to-end Figure 5 sweep: the full
 // 4 KB..64 MB latency curve on both machines. Before the flat cache
-// backing, the pooled permutations, and the all-miss proof, this shape
+// backing, permutation reuse, and the all-miss proof, this shape
 // cost ~19.6k mallocs and ~202 MB of allocation; it now sits near 1.1k
 // and 36 MB. The bounds leave ~4x headroom so only a real regression
 // (per-set slices, per-point permutations) trips them.

@@ -1,13 +1,9 @@
 package memsim
 
 import (
-	"maia/internal/bufpool"
 	"maia/internal/machine"
 	"maia/internal/vclock"
 )
-
-// chaseInts recycles the slow path's permutation and successor buffers.
-var chaseInts bufpool.Pool[int]
 
 // LatencyPoint is one point of the Figure 5 curve: the average load-to-use
 // latency observed when chasing pointers through a working set of the
@@ -49,13 +45,11 @@ func ChaseLatency(h *Hierarchy, workingSetBytes int, seed uint64) LatencyPoint {
 		// permutation of the lines, starting at line 0. next[i] =
 		// successor line.
 		rng := vclock.NewRNG(seed)
-		perm := chaseInts.Get(lines)
-		rng.PermInto(perm)
-		next := chaseInts.Get(lines)
+		perm := rng.Perm(lines)
+		next := make([]int, lines)
 		for i := 0; i < lines; i++ {
 			next[perm[i]] = perm[(i+1)%lines]
 		}
-		chaseInts.Put(perm)
 		// Warm-up pass: touch every line once.
 		idx := 0
 		for i := 0; i < lines; i++ {
@@ -68,7 +62,6 @@ func ChaseLatency(h *Hierarchy, workingSetBytes int, seed uint64) LatencyPoint {
 			total += lat
 			idx = next[idx]
 		}
-		chaseInts.Put(next)
 	}
 	return LatencyPoint{
 		WorkingSetBytes: workingSetBytes,

@@ -4,14 +4,15 @@ import (
 	"testing"
 )
 
-// Allocation-regression guards for the pooled kernels. Grids and
-// pencil scratch come from the package free lists, so the marginal
-// cost of one more FT time step or MG V-cycle must stay near zero —
-// these tests pin that by differencing runs with k and k+1 iterations,
-// which cancels the (pool-warming) setup cost.
+// Allocation-regression guards for the kernels. Grids and pencil
+// scratch are allocated once per run, so the marginal cost of one more
+// FT time step or MG V-cycle must stay near zero — these tests pin that
+// by differencing runs with k and k+1 iterations, which cancels the
+// setup cost.
 
 func runAllocsDelta(t testing.TB, run func(iters int)) float64 {
-	// Warm the free lists so neither measured run pays first-use cost.
+	// Warm up so neither measured run pays first-use cost (the twiddle
+	// cache).
 	run(1)
 	base := testing.AllocsPerRun(3, func() { run(1) })
 	more := testing.AllocsPerRun(3, func() { run(3) })
@@ -19,9 +20,9 @@ func runAllocsDelta(t testing.TB, run func(iters int)) float64 {
 }
 
 // TestFTStepAllocBound pins the allocations of one steady-state FT time
-// step (evolution + inverse FFT3D + checksum) on warm pools. The
-// twiddle tables are cached and the work grid is reused across steps,
-// so a step's marginal cost is bookkeeping only.
+// step (evolution + inverse FFT3D + checksum). The twiddle tables are
+// cached and the work grid is reused across steps, so a step's marginal
+// cost is bookkeeping only.
 func TestFTStepAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; bound asserted in normal builds")
@@ -56,7 +57,7 @@ func TestMGVCycleAllocBound(t *testing.T) {
 }
 
 // BenchmarkFTStep reports the wall and allocation cost of RunFT with a
-// single time step on warm pools (-benchmem view of the guard above).
+// single time step (-benchmem view of the guard above).
 func BenchmarkFTStep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -67,7 +68,7 @@ func BenchmarkFTStep(b *testing.B) {
 }
 
 // BenchmarkMGVCycle reports the wall and allocation cost of RunMG with
-// a single V-cycle on warm pools.
+// a single V-cycle.
 func BenchmarkMGVCycle(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

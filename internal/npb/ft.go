@@ -69,8 +69,8 @@ func FFT3D(g *FTGrid, invert bool, team *simomp.Team) {
 		off := p * nx
 		fft1D(g.V[off:off+nx], invert)
 	})
-	// Y pencils: stride nx. Pencil scratch comes from the free list;
-	// the buffer is fully overwritten before it is read.
+	// Y pencils: stride nx. The scratch buffer is fully overwritten
+	// before it is read.
 	runPencilsBuf(team, nx*nz, ny, func(p int, buf []complex128) {
 		z := p / nx
 		x := p % nx
@@ -107,22 +107,19 @@ func runPencils(team *simomp.Team, n int, body func(p int)) {
 }
 
 // runPencilsBuf is runPencils for bodies needing bufLen scratch
-// elements. Serial runs share one pooled buffer across all pencils;
-// team runs take one per body invocation, since bodies execute
-// concurrently on the team's workers.
+// elements. Serial runs share one buffer across all pencils; team runs
+// take one per body invocation, since bodies execute concurrently on
+// the team's workers.
 func runPencilsBuf(team *simomp.Team, n, bufLen int, body func(p int, buf []complex128)) {
 	if team == nil {
-		buf := c128Pool.Get(bufLen)
+		buf := make([]complex128, bufLen)
 		for p := 0; p < n; p++ {
 			body(p, buf)
 		}
-		c128Pool.Put(buf)
 		return
 	}
 	team.ParallelFor(n, simomp.ForOpts{Sched: simomp.Static}, func(p int) {
-		buf := c128Pool.Get(bufLen)
-		body(p, buf)
-		c128Pool.Put(buf)
+		body(p, make([]complex128, bufLen))
 	})
 }
 
@@ -147,8 +144,7 @@ func RunFT(nx, ny, nz, steps int, team *simomp.Team) (FTResult, error) {
 	if steps < 1 {
 		return FTResult{}, fmt.Errorf("npb: FT needs at least one step")
 	}
-	u0 := NewPooledFTGrid(nx, ny, nz)
-	defer u0.Free()
+	u0 := NewFTGrid(nx, ny, nz)
 	seed := DefaultSeed
 	for i := range u0.V {
 		re := Randlc(&seed, MultA)
@@ -157,8 +153,7 @@ func RunFT(nx, ny, nz, steps int, team *simomp.Team) (FTResult, error) {
 	}
 
 	// Forward transform once.
-	freq := NewPooledFTGrid(nx, ny, nz)
-	defer freq.Free()
+	freq := NewFTGrid(nx, ny, nz)
 	copy(freq.V, u0.V)
 	FFT3D(freq, false, team)
 
@@ -173,8 +168,7 @@ func RunFT(nx, ny, nz, steps int, team *simomp.Team) (FTResult, error) {
 	}
 
 	res := FTResult{}
-	work := NewPooledFTGrid(nx, ny, nz)
-	defer work.Free()
+	work := NewFTGrid(nx, ny, nz)
 	for step := 1; step <= steps; step++ {
 		t := float64(step)
 		for z := 0; z < nz; z++ {

@@ -38,30 +38,23 @@ func min(a, b int) int {
 
 // allgatherBlocks gathers variable-length float64 blocks (padded to the
 // maximum block length for the fixed-size Allgather) and reassembles the
-// full vector of length n. All conversion scratch recycles through the
-// free lists; the returned vector is the caller's to free (f64Pool).
+// full vector of length n.
 func allgatherBlocks(r *simmpi.Rank, block []float64, n int) []float64 {
 	ranks := r.Size()
 	maxLen := n/ranks + 1
-	padded := f64Pool.GetZeroed(maxLen)
+	padded := make([]float64, maxLen)
 	copy(padded, block)
-	pb := f64ToBytesBuf(padded)
-	f64Pool.Put(padded)
-	ag := r.Allgather(pb)
-	bytePool.Put(pb)
-	all := bytesToF64Buf(ag)
-	simmpi.Recycle(ag)
-	out := f64Pool.Get(n)[:0]
+	all := bytesToF64Buf(r.Allgather(f64ToBytesBuf(padded)))
+	out := make([]float64, 0, n)
 	for id := 0; id < ranks; id++ {
 		lo, hi := blockRange(n, ranks, id)
 		out = append(out, all[id*maxLen:id*maxLen+(hi-lo)]...)
 	}
-	f64Pool.Put(all)
 	return out
 }
 
 func f64ToBytesBuf(v []float64) []byte {
-	b := bytePool.Get(8 * len(v))
+	b := make([]byte, 8*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
@@ -69,7 +62,7 @@ func f64ToBytesBuf(v []float64) []byte {
 }
 
 func bytesToF64Buf(b []byte) []float64 {
-	v := f64Pool.Get(len(b) / 8)
+	v := make([]float64, len(b)/8)
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
@@ -116,7 +109,6 @@ func RunCGMPI(m *SparseMatrix, shift float64, outerIters, ranks int) (CGResult, 
 				}
 				out[i] = s
 			}
-			f64Pool.Put(pFull)
 		}
 
 		x := make([]float64, mine)
@@ -205,9 +197,8 @@ func ftRankBody(r *simmpi.Rank, nx, ny, nz, steps, ranks int, res *FTResult) {
 
 	// Layout A: a[(z-myZ0)*ny*nx + y*nx + x]. Initialize from the shared
 	// RANDLC stream by seeking to this slab's offset (2 draws per point,
-	// stream in z-major order — the serial kernel's layout). Every
-	// element is assigned, so the pooled buffer needs no zeroing.
-	a := c128Pool.Get(zSlab * ny * nx)
+	// stream in z-major order — the serial kernel's layout).
+	a := make([]complex128, zSlab*ny*nx)
 	seed := RandSeek(DefaultSeed, int64(2*myZ0*ny*nx))
 	for i := range a {
 		re := Randlc(&seed, MultA)
@@ -219,10 +210,8 @@ func ftRankBody(r *simmpi.Rank, nx, ny, nz, steps, ranks int, res *FTResult) {
 	ftXY(a, nx, ny, zSlab, false)
 	// Transpose to layout B and do the z transforms.
 	b := ftTranspose(r, a, nx, ny, nz, ranks, true)
-	c128Pool.Put(a)
 	ftZ(b, ny, nz, xSlab, false)
 	freq := b // layout B: b[(x-myX0)*ny*nz + y*nz + z]
-	defer c128Pool.Put(freq)
 
 	const alpha = 1e-6
 	decay := func(n, i int) float64 {
@@ -233,8 +222,7 @@ func ftRankBody(r *simmpi.Rank, nx, ny, nz, steps, ranks int, res *FTResult) {
 		return float64(k * k)
 	}
 	myX0 := id * xSlab
-	work := c128Pool.Get(len(freq))
-	defer c128Pool.Put(work)
+	work := make([]complex128, len(freq))
 	for step := 1; step <= steps; step++ {
 		t := float64(step)
 		for xi := 0; xi < xSlab; xi++ {
@@ -270,20 +258,17 @@ func ftRankBody(r *simmpi.Rank, nx, ny, nz, steps, ranks int, res *FTResult) {
 			vv := v * norm
 			energy += real(vv)*real(vv) + imag(vv)*imag(vv)
 		}
-		c128Pool.Put(back)
 		tot := r.Allreduce([]float64{sumRe, sumIm, energy}, simmpi.OpSum)
 		if r.ID() == 0 {
 			res.Checksums[step-1] = complex(tot[0], tot[1])
 			res.Energies[step-1] = tot[2]
 		}
-		simmpi.RecycleF64(tot)
 	}
 }
 
 // ftXY transforms along x then y for every owned z-plane (layout A).
 func ftXY(a []complex128, nx, ny, zSlab int, invert bool) {
-	buf := c128Pool.Get(ny)
-	defer c128Pool.Put(buf)
+	buf := make([]complex128, ny)
 	for zi := 0; zi < zSlab; zi++ {
 		plane := a[zi*ny*nx : (zi+1)*ny*nx]
 		for y := 0; y < ny; y++ {
@@ -317,9 +302,7 @@ func ftTranspose(r *simmpi.Rank, in []complex128, nx, ny, nz, ranks int, toB boo
 	zSlab := nz / ranks
 	xSlab := nx / ranks
 	tile := xSlab * ny * zSlab
-	// sendBuf and out are fully overwritten below, so uninitialized
-	// pooled buffers are safe; the caller frees out via c128Pool.
-	sendBuf := bytePool.Get(ranks * tile * 16)
+	sendBuf := make([]byte, ranks*tile*16)
 	for dst := 0; dst < ranks; dst++ {
 		base := dst * tile
 		for i := 0; i < tile; i++ {
@@ -342,12 +325,11 @@ func ftTranspose(r *simmpi.Rank, in []complex128, nx, ny, nz, ranks int, toB boo
 		}
 	}
 	recvBuf := r.Alltoall(sendBuf, tile*16)
-	bytePool.Put(sendBuf)
 	var out []complex128
 	if toB {
-		out = c128Pool.Get(xSlab * ny * nz)
+		out = make([]complex128, xSlab*ny*nz)
 	} else {
-		out = c128Pool.Get(zSlab * ny * nx)
+		out = make([]complex128, zSlab*ny*nx)
 	}
 	for src := 0; src < ranks; src++ {
 		base := src * tile
@@ -370,7 +352,6 @@ func ftTranspose(r *simmpi.Rank, in []complex128, nx, ny, nz, ranks int, toB boo
 			}
 		}
 	}
-	simmpi.Recycle(recvBuf)
 	return out
 }
 

@@ -8,12 +8,13 @@ import (
 
 // Allocation-regression guards for the fleet event loop. The loop
 // allocates O(1) per RUN — the heap, queue, wait sample, and node states
-// all recycle through pools — so a run's malloc count is a small
-// constant, far below its event count, and must not scale with the
-// simulated horizon.
+// are reused with the whole run state — so a run's malloc count is a
+// small constant, far below its event count, and must not scale with
+// the simulated horizon.
 
-// maxRunAllocs is the warm-pool allocation budget of one fleet run: the
-// count BenchmarkRun reports at every policy and fleet size.
+// maxRunAllocs is the allocation budget of one fleet run after a
+// warm-up run: the count BenchmarkRun reports at every policy and fleet
+// size.
 const maxRunAllocs = 4
 
 // allocConfig is the guarded workload: remediation on, sampled
@@ -36,14 +37,14 @@ func runEvents(st Stats, cfg Config, healthEvery vclock.Time) int {
 }
 
 // TestRunAllocsFarBelowEvents pins the per-run allocation bound: after
-// one warm-up run (which charges the pools), a full fleet run of over a
-// thousand events must allocate at most maxRunAllocs times.
+// one warm-up run (which sizes the reused run state), a full fleet run
+// of over a thousand events must allocate at most maxRunAllocs times.
 func TestRunAllocsFarBelowEvents(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; bound asserted in normal builds")
 	}
 	cfg := allocConfig(mustTable(t), 600*vclock.Second)
-	st, err := Run(cfg) // warm the pools
+	st, err := Run(cfg) // warm-up: size the reused run state
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +66,8 @@ func TestRunAllocsFarBelowEvents(t *testing.T) {
 // TestRunAllocsIndependentOfDuration pins that allocations do not scale
 // with the horizon: simulating 8x the virtual time processes ~8x the
 // events but must stay within a small constant factor of the short
-// run's allocations (pool-class growth for the bigger wait sample, not
-// per-event cost).
+// run's allocations (growth of the reused wait sample, not per-event
+// cost).
 func TestRunAllocsIndependentOfDuration(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; bound asserted in normal builds")
@@ -74,7 +75,7 @@ func TestRunAllocsIndependentOfDuration(t *testing.T) {
 	tab := mustTable(t)
 	measure := func(d vclock.Time) float64 {
 		cfg := allocConfig(tab, d)
-		if _, err := Run(cfg); err != nil { // warm the pools for this size
+		if _, err := Run(cfg); err != nil { // size the reused run state
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(5, func() {

@@ -13,6 +13,7 @@ import (
 	"maia/internal/simfault"
 	"maia/internal/simmpi"
 	"maia/internal/vclock"
+	"maia/internal/workgroup"
 )
 
 // Class is one fleet job class: a unit of work whose service time the
@@ -174,23 +175,13 @@ func NewPriceTable(m core.Model, node *machine.Node, workers int) (*PriceTable, 
 			tasks = append(tasks, priceTask{condition: cond, class: c})
 		}
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	prices := make([]Price, len(tasks))
 	errs := make([]error, len(tasks))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
+	g := workgroup.New(workers)
 	for i, task := range tasks {
-		wg.Add(1)
-		go func(i int, task priceTask) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			prices[i], errs[i] = priceCell(m, node.Clone(), task, hostRate)
-		}(i, task)
+		g.Go(func() { prices[i], errs[i] = priceCell(m, node.Clone(), task, hostRate) })
 	}
-	wg.Wait()
+	g.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("simfleet: pricing %s under %q: %w",

@@ -3,8 +3,8 @@ package simfleet
 import (
 	"math/bits"
 	"slices"
+	"sync"
 
-	"maia/internal/bufpool"
 	"maia/internal/simfault"
 	"maia/internal/vclock"
 )
@@ -330,15 +330,10 @@ type sim struct {
 	stats Stats
 }
 
-// Run's scratch — node states, the event heap, the job queue, the
-// dispatch-wait sample — recycles through size-classed pools, so a
-// fleet sweep's steady state allocates almost nothing per run.
-var (
-	nodePool  bufpool.Pool[fnode]
-	eventPool bufpool.Pool[event]
-	jobPool   bufpool.Pool[job]
-	waitPool  bufpool.Pool[vclock.Time]
-)
+// sims recycles whole run states — the sim with its node states, event
+// heap, job queue and dispatch-wait sample — so a fleet sweep's steady
+// state allocates almost nothing per run.
+var sims = sync.Pool{New: func() any { return new(sim) }}
 
 // policies resolves scheduler names; withDefaults has already rejected
 // any name outside the catalog.
@@ -357,9 +352,15 @@ func Run(cfg Config) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	s := &sim{cfg: cfg, profile: profile, nodes: nodePool.GetZeroed(cfg.Nodes), policy: policies[cfg.Scheduler]}
-	s.events = eventPool.Get(4*cfg.Nodes + 64)[:0]
-	s.queue = jobPool.Get(2*cfg.Nodes + 64)[:0]
+	s := sims.Get().(*sim)
+	defer sims.Put(s)
+	// Reset every field, keeping only the slices' backing arrays.
+	nodes, events, queue, waits := s.nodes, s.events, s.queue, s.waits
+	*s = sim{cfg: cfg, profile: profile, policy: policies[cfg.Scheduler]}
+	s.nodes = slices.Grow(nodes[:0], cfg.Nodes)[:cfg.Nodes]
+	clear(s.nodes)
+	s.events = slices.Grow(events[:0], 4*cfg.Nodes+64)
+	s.queue = slices.Grow(queue[:0], 2*cfg.Nodes+64)
 	s.stats = Stats{
 		Nodes:     cfg.Nodes,
 		Duration:  cfg.Duration,
@@ -377,9 +378,10 @@ func Run(cfg Config) (Stats, error) {
 	}
 	s.meanInter = cfg.Prices.MeanHealthy() / vclock.Time(float64(cfg.Nodes)*cfg.Load)
 	// Size the wait sample for the expected arrival count so steady-state
-	// runs never regrow it; the estimate only seeds the capacity class.
+	// runs never regrow it.
+	s.waits = waits[:0]
 	if est := int(float64(cfg.Duration)/float64(s.meanInter)) + 16; est > 0 {
-		s.waits = waitPool.Get(est)[:0]
+		s.waits = slices.Grow(s.waits, est)
 	}
 	s.pushArrival()
 	if profile.MTBF > 0 {
@@ -411,10 +413,6 @@ func Run(cfg Config) (Stats, error) {
 		}
 	}
 	s.finish()
-	nodePool.Put(s.nodes)
-	eventPool.Put(s.events)
-	jobPool.Put(s.queue)
-	waitPool.Put(s.waits)
 	return s.stats, nil
 }
 

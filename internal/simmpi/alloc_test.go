@@ -7,19 +7,16 @@ import (
 	"maia/internal/vclock"
 )
 
-// Allocation-regression guards for the pooled send/recv path. The
-// per-message steady-state cost with a recycling receiver is a handful
-// of fixed-size bookkeeping allocations (the free-list boxes and the
-// amortized mailbox slice growth); payload bytes themselves must come
-// from the pool. A regression that reintroduces per-message payload
-// allocation blows straight through these bounds.
+// Allocation-regression guards for the send/recv path and the replay.
+// A content-preserving message costs its one payload copy plus the
+// amortized mailbox slice growth; a regression that adds per-message
+// bookkeeping (or a second copy) blows straight through these bounds.
 
-// sendrecvWorldAllocs runs a 2-rank world exchanging msgs pooled
-// messages of msgBytes each (receiver recycles) and returns the total
-// allocation count of the world run.
+// sendrecvWorldAllocs runs a 2-rank world exchanging msgs messages of
+// msgBytes each and returns the total allocation count of the world
+// run.
 func sendrecvWorldAllocs(t testing.TB, msgs, msgBytes int) float64 {
-	buf := payloadPool.Get(msgBytes)
-	defer Recycle(buf)
+	buf := make([]byte, msgBytes)
 	return testing.AllocsPerRun(3, func() {
 		w, err := NewWorld(Config{Ranks: HostPlacement(2, 1)})
 		if err != nil {
@@ -32,7 +29,7 @@ func sendrecvWorldAllocs(t testing.TB, msgs, msgBytes int) float64 {
 				}
 			} else {
 				for k := 0; k < msgs; k++ {
-					Recycle(r.Recv(0, 1))
+					r.Recv(0, 1)
 				}
 			}
 		})
@@ -42,10 +39,10 @@ func sendrecvWorldAllocs(t testing.TB, msgs, msgBytes int) float64 {
 	})
 }
 
-// TestSendRecvPooledAllocBound pins the marginal allocations per pooled
+// TestSendRecvPooledAllocBound pins the marginal allocations per
 // send/recv pair. The bound is deliberately loose (the true steady
-// state is ~2: the two free-list boxes) so only a real regression —
-// e.g. the payload copy buffer no longer pooling — trips it.
+// state is ~1: the payload copy the message owns) so only a real
+// regression — e.g. a second copy per message — trips it.
 func TestSendRecvPooledAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; bound asserted in normal builds")
@@ -55,7 +52,7 @@ func TestSendRecvPooledAllocBound(t *testing.T) {
 	more := sendrecvWorldAllocs(t, 64+1024, msgBytes)
 	perMsg := (more - base) / 1024
 	if perMsg > 4 {
-		t.Errorf("pooled send/recv allocates %.2f allocs/message, want <= 4", perMsg)
+		t.Errorf("send/recv allocates %.2f allocs/message, want <= 4", perMsg)
 	}
 }
 
@@ -142,12 +139,11 @@ func TestRackReplayAllocsIndependentOfNodes(t *testing.T) {
 	}
 }
 
-// BenchmarkSendRecvPooled is the -benchmem view of the same path: a
-// 2-rank world streaming pooled messages with a recycling receiver.
-func BenchmarkSendRecvPooled(b *testing.B) {
+// BenchmarkSendRecv is the -benchmem view of the same path: a 2-rank
+// world streaming 4 KB messages.
+func BenchmarkSendRecv(b *testing.B) {
 	b.ReportAllocs()
-	buf := payloadPool.Get(4096)
-	defer Recycle(buf)
+	buf := make([]byte, 4096)
 	for i := 0; i < b.N; i++ {
 		w, err := NewWorld(Config{Ranks: HostPlacement(2, 1)})
 		if err != nil {
@@ -160,7 +156,7 @@ func BenchmarkSendRecvPooled(b *testing.B) {
 				}
 			} else {
 				for k := 0; k < 64; k++ {
-					Recycle(r.Recv(0, 1))
+					r.Recv(0, 1)
 				}
 			}
 		})

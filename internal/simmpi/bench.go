@@ -94,7 +94,7 @@ func CollectiveTime(cfg Config, kind CollectiveKind, msgBytes, iters int, opts .
 }
 
 // benchTime prices iters repetitions of one script step, the loop of an
-// IMB benchmark. Results are recycled unread, so the world runs
+// IMB benchmark. Results are never read, so the world runs
 // size-only. Untraced runs replay in closed form when they can; unlike
 // SeqTime, a traced run always takes the goroutine engine (RunSeq), so
 // the trace keeps one span per operation.

@@ -127,122 +127,90 @@ func (r *Rank) bcastVanDeGeijn(root int, data payload) payload {
 	n := r.w.size
 	block := (data.n + n - 1) / n
 	padded := block * n
-	// Root pads to a whole number of blocks (zeroed: the padding bytes
-	// travel through the scatter/allgather, so keep them deterministic).
+	// Root pads to a whole number of blocks (alloc zeroes the padding,
+	// which travels through the scatter/allgather).
 	var buf payload
 	if r.id == root {
 		buf = r.w.alloc(padded)
 		buf.copyAt(0, data)
-		clear(buf.sub(data.n, padded).b)
 	}
 	mine := r.scatterImpl(root, buf, block)
-	buf.recycle()
 	// Scatter hands rank i block i, so the allgather reassembles the
 	// message in rank order regardless of the root.
 	full := r.allgatherImpl(mine)
-	mine.recycle()
 	return full.sub(0, data.n)
 }
 
-// Reduce combines every rank's vector with op down a binomial tree and
-// returns the result on root (nil elsewhere). vec is not modified.
-func (r *Rank) reduceImpl(root int, vec []float64, op Op) []float64 {
+// Reduce combines every rank's packed vector with op down a binomial
+// tree and returns the result on root (an empty payload elsewhere).
+// data is the rank's own contribution; its bytes, if any, are reduced
+// in place.
+func (r *Rank) reduceImpl(root int, data payload, op Op) payload {
 	n := r.w.size
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("simmpi: Reduce root %d out of range", root))
 	}
 	r.setAlgo("binomial")
-	acc := f64Pool.Get(len(vec))
-	copy(acc, vec)
+	acc := data
 	rel := (r.id - root + n) % n
 	mask := 1
 	for mask < n {
 		if rel&mask != 0 {
-			dst := (r.id - mask + n) % n
-			pb := r.packF64(acc)
-			r.send(dst, tagReduce, pb)
-			pb.recycle()
-			if rel == 0 {
-				break
-			}
-			RecycleF64(acc)
-			return nil
+			r.send((r.id-mask+n)%n, tagReduce, acc)
+			return payload{}
 		}
 		if rel+mask < n {
-			src := (r.id + mask) % n
-			rb := r.recv(src, tagReduce)
-			other := r.unpackF64(rb)
-			rb.recycle()
-			if len(other) != len(acc) {
-				panic(fmt.Sprintf("simmpi: Reduce length mismatch %d vs %d", len(other), len(acc)))
+			other := r.recv((r.id+mask)%n, tagReduce)
+			if other.n != acc.n {
+				panic(fmt.Sprintf("simmpi: Reduce length mismatch %d vs %d bytes", other.n, acc.n))
 			}
-			r.combine(op, acc, other)
-			RecycleF64(other)
+			combine(op, acc, other)
 		}
 		mask <<= 1
 	}
-	if rel == 0 {
-		return acc
-	}
-	return nil
+	return acc
 }
 
-// Allreduce combines every rank's vector with op and returns the result
-// on every rank. Power-of-two worlds use recursive doubling; others fall
-// back to Reduce-then-Bcast. vec is not modified.
-func (r *Rank) allreduceImpl(vec []float64, op Op) []float64 {
+// Allreduce combines every rank's packed vector with op and returns the
+// result on every rank. Power-of-two worlds use recursive doubling;
+// others fall back to Reduce-then-Bcast. data's bytes, if any, are
+// reduced in place.
+func (r *Rank) allreduceImpl(data payload, op Op) payload {
 	n := r.w.size
 	if n == 1 {
-		out := f64Pool.Get(len(vec))
-		copy(out, vec)
-		return out
+		return data
 	}
 	if r.w.rack != nil {
-		return r.hierAllreduce(vec, op)
+		return r.hierAllreduce(data, op)
 	}
 	if n&(n-1) == 0 {
 		r.setAlgo("rd")
-		acc := f64Pool.Get(len(vec))
-		copy(acc, vec)
+		acc := data
 		for mask := 1; mask < n; mask <<= 1 {
 			partner := r.id ^ mask
-			pb := r.packF64(acc)
-			r.send(partner, tagAllreduce, pb)
-			pb.recycle()
-			rb := r.recv(partner, tagAllreduce)
-			other := r.unpackF64(rb)
-			rb.recycle()
-			if len(other) != len(acc) {
-				panic(fmt.Sprintf("simmpi: Allreduce length mismatch %d vs %d", len(other), len(acc)))
+			r.send(partner, tagAllreduce, acc)
+			other := r.recv(partner, tagAllreduce)
+			if other.n != acc.n {
+				panic(fmt.Sprintf("simmpi: Allreduce length mismatch %d vs %d bytes", other.n, acc.n))
 			}
 			// Fixed combine order regardless of partner side keeps the
 			// result identical on every rank.
 			if r.id < partner {
-				r.combine(op, acc, other)
-				RecycleF64(other)
+				combine(op, acc, other)
 			} else {
-				r.combine(op, other, acc)
-				RecycleF64(acc)
+				combine(op, other, acc)
 				acc = other
 			}
 		}
 		return acc
 	}
 	r.setAlgo("reduce+bcast")
-	res := r.reduceImpl(0, vec, op)
-	var buf payload
-	if r.id == 0 {
-		buf = r.packF64(res)
-		RecycleF64(res)
-	} else {
-		// Only the length matters on non-root ranks (Bcast replaces or
-		// ignores the contents), so uninitialized bytes are fine.
-		buf = r.w.alloc(8 * len(vec))
+	// Off the root only the length matters (Bcast replaces or ignores
+	// the contents), so every rank broadcasts its own payload.
+	if res := r.reduceImpl(0, data, op); r.id == 0 {
+		data = res
 	}
-	out := r.bcastImpl(0, buf)
-	result := r.unpackF64(out)
-	out.recycle()
-	return result
+	return r.bcastImpl(0, data)
 }
 
 // Allgather concatenates every rank's block (all blocks must be the same
@@ -256,7 +224,7 @@ func (r *Rank) allgatherImpl(block payload) payload {
 	}
 	n, m := r.w.size, block.n
 	// Every block of out is overwritten below, so uninitialized bytes
-	// are safe. Callers own the result; Recycle returns it.
+	// are safe. Callers own the result.
 	out := r.w.alloc(n * m)
 	out.copyAt(r.id*m, block)
 	if n == 1 {
@@ -275,7 +243,6 @@ func (r *Rank) allgatherImpl(block payload) payload {
 			r.send(partner, tagAllgatherRD, out.sub(group*m, (group+mask)*m))
 			incoming := r.recv(partner, tagAllgatherRD)
 			out.copyAt(pgroup*m, incoming)
-			incoming.recycle()
 		}
 		return out
 	}
@@ -289,7 +256,6 @@ func (r *Rank) allgatherImpl(block payload) payload {
 		cur = (cur - 1 + n) % n
 		data := r.recv(left, tagAllgatherRing)
 		out.copyAt(cur*m, data)
-		data.recycle()
 	}
 	return out
 }
@@ -315,7 +281,6 @@ func (r *Rank) alltoallImpl(data payload, blockBytes int) payload {
 		r.send(dst, tagAlltoall, data.sub(dst*m, (dst+1)*m))
 		got := r.recv(src, tagAlltoall)
 		out.copyAt(src*m, got)
-		got.recycle()
 	}
 	return out
 }
@@ -341,7 +306,6 @@ func (r *Rank) gatherImpl(root int, block payload) payload {
 		}
 		data := r.recv(src, tagGather)
 		out.copyAt(src*m, data)
-		data.recycle()
 	}
 	return out
 }
@@ -370,13 +334,7 @@ func (r *Rank) scatterImpl(root int, data payload, blockBytes int) payload {
 
 // AllreduceSum is shorthand for a one-element sum Allreduce.
 func (r *Rank) AllreduceSum(x float64) float64 {
-	in := f64Pool.Get(1)
-	in[0] = x
-	out := r.Allreduce(in, OpSum)
-	v := out[0]
-	RecycleF64(out)
-	RecycleF64(in)
-	return v
+	return r.Allreduce([]float64{x}, OpSum)[0]
 }
 
 // --- Public collective entry points -----------------------------------
@@ -400,15 +358,27 @@ func (r *Rank) bcast(root int, data payload) (out payload) {
 	return out
 }
 
-// Reduce combines every rank's vector onto root.
+// Reduce combines every rank's vector onto root and returns the result
+// there (nil elsewhere). vec is not modified. A size-only world returns
+// a zeroed vector of the right length.
 func (r *Rank) Reduce(root int, vec []float64, op Op) (out []float64) {
-	r.collective("MPI_Reduce", int64(8*len(vec)), func() { out = r.reduceImpl(root, vec, op) })
+	r.collective("MPI_Reduce", int64(8*len(vec)), func() {
+		if res := r.reduceImpl(root, r.w.packF64(vec), op); r.id == root {
+			out = unpackF64(res)
+		}
+	})
 	return out
 }
 
-// Allreduce combines every rank's vector onto every rank.
-func (r *Rank) Allreduce(vec []float64, op Op) (out []float64) {
-	r.collective("MPI_Allreduce", int64(8*len(vec)), func() { out = r.allreduceImpl(vec, op) })
+// Allreduce combines every rank's vector onto every rank. vec is not
+// modified. A size-only world returns a zeroed vector of the right
+// length.
+func (r *Rank) Allreduce(vec []float64, op Op) []float64 {
+	return unpackF64(r.allreduce(r.w.packF64(vec), op))
+}
+
+func (r *Rank) allreduce(data payload, op Op) (out payload) {
+	r.collective("MPI_Allreduce", int64(data.n), func() { out = r.allreduceImpl(data, op) })
 	return out
 }
 

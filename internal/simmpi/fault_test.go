@@ -37,7 +37,7 @@ func ringTime(t *testing.T, plan *simfault.Plan, tracer *simtrace.Tracer) vclock
 	if err := w.Run(func(r *Rank) {
 		n := r.Size()
 		for i := 0; i < 4; i++ {
-			Recycle(r.Sendrecv((r.ID()+1)%n, 0, payload, (r.ID()-1+n)%n, 0))
+			r.Sendrecv((r.ID()+1)%n, 0, payload, (r.ID()-1+n)%n, 0)
 		}
 		r.Compute(200 * vclock.Microsecond)
 		r.AllreduceSum(1)
@@ -118,7 +118,7 @@ func TestLossyPCIeSparesSharedMemory(t *testing.T) {
 		payload := make([]byte, 16<<10)
 		if err := w.Run(func(r *Rank) {
 			n := r.Size()
-			Recycle(r.Sendrecv((r.ID()+1)%n, 0, payload, (r.ID()-1+n)%n, 0))
+			r.Sendrecv((r.ID()+1)%n, 0, payload, (r.ID()-1+n)%n, 0)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -219,5 +219,40 @@ func TestSizeOnlyMemoryIndependentOfBytes(t *testing.T) {
 	if large > small+bound {
 		t.Errorf("1 MB blocks allocated %d bytes, 4 KB blocks %d: the difference exceeds %d",
 			large, small, bound)
+	}
+}
+
+// allreduceTotalAlloc prices a size-only Allreduce of msgBytes on a
+// mixed host+Phi world (the ext-fault-fabric shape: heterogeneous, so
+// the replay refuses and every rank runs on the goroutine engine) and
+// returns the bytes the pricing allocated.
+func allreduceTotalAlloc(t *testing.T, ranks, msgBytes int) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := CollectiveTime(Config{Ranks: mixedLocs(ranks)}, AllreduceKind, msgBytes, 4); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSizeOnlyAllreduceAllocatesNoVectors pins that a size-only
+// reduction moves lengths like every other collective: pricing 64 KB
+// Allreduces must allocate what 8-byte ones do. A vector per rank per
+// round (64 KB each, hundreds per run) would blow far past the slack,
+// which only absorbs scheduling-dependent mailbox growth. Eight ranks
+// take recursive doubling, six take Reduce-then-Bcast. It reads
+// process-wide MemStats, so it must not run in parallel.
+func TestSizeOnlyAllreduceAllocatesNoVectors(t *testing.T) {
+	const slack = 32 << 10
+	for _, ranks := range []int{8, 6} {
+		allreduceTotalAlloc(t, ranks, 8) // warm the one-time costs of the first run
+		small, large := allreduceTotalAlloc(t, ranks, 8), allreduceTotalAlloc(t, ranks, 64<<10)
+		t.Logf("%d ranks: allocated %d bytes at 8 B, %d at 64 KB", ranks, small, large)
+		if large > small+slack {
+			t.Errorf("%d ranks: 64 KB Allreduces allocated %d bytes, 8-byte ones %d: the difference exceeds %d",
+				ranks, large, small, slack)
+		}
 	}
 }

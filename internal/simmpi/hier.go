@@ -125,30 +125,22 @@ func (r *Rank) hierBcast(root int, data payload) payload {
 // hierAllreduce reduces to the node leaders (binomial over local
 // indices), allreduces among the leaders (recursive doubling on
 // power-of-two node counts, reduce-then-bcast over the node tree
-// otherwise), and broadcasts back down each node.
-func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
+// otherwise), and broadcasts back down each node. data's bytes, if
+// any, are reduced in place.
+func (r *Rank) hierAllreduce(data payload, op Op) payload {
 	R, N := r.w.rack.perNode, r.w.rack.nodes
 	k, j := r.rackNode(), r.rackLocal()
-	acc := f64Pool.Get(len(vec))
-	copy(acc, vec)
+	acc := data
 	// Phase 1: binomial reduce to the node leader (local root 0).
 	if R > 1 {
 		mask := 1
 		for mask < R {
 			if j&mask != 0 {
-				pb := r.packF64(acc)
-				r.send(r.id-mask, tagHierUp, pb)
-				pb.recycle()
-				RecycleF64(acc)
-				acc = nil
+				r.send(r.id-mask, tagHierUp, acc)
 				break
 			}
 			if j+mask < R {
-				rb := r.recv(r.id+mask, tagHierUp)
-				other := r.unpackF64(rb)
-				rb.recycle()
-				r.combine(op, acc, other)
-				RecycleF64(other)
+				combine(op, acc, r.recv(r.id+mask, tagHierUp))
 			}
 			mask <<= 1
 		}
@@ -159,20 +151,14 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 			r.setAlgo("hier:rd")
 			for mask := 1; mask < N; mask <<= 1 {
 				pk := k ^ mask
-				pb := r.packF64(acc)
-				r.send(r.leaderOf(pk), tagHierInter, pb)
-				pb.recycle()
-				rb := r.recv(r.leaderOf(pk), tagHierInter)
-				other := r.unpackF64(rb)
-				rb.recycle()
+				r.send(r.leaderOf(pk), tagHierInter, acc)
+				other := r.recv(r.leaderOf(pk), tagHierInter)
 				// Fixed combine order by node id keeps every leader's
 				// result identical (same rule as the flat rd).
 				if k < pk {
-					r.combine(op, acc, other)
-					RecycleF64(other)
+					combine(op, acc, other)
 				} else {
-					r.combine(op, other, acc)
-					RecycleF64(acc)
+					combine(op, other, acc)
 					acc = other
 				}
 			}
@@ -182,19 +168,11 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 			mask := 1
 			for mask < N {
 				if k&mask != 0 {
-					pb := r.packF64(acc)
-					r.send(r.leaderOf(k-mask), tagHierInter, pb)
-					pb.recycle()
-					RecycleF64(acc)
-					acc = nil
+					r.send(r.leaderOf(k-mask), tagHierInter, acc)
 					break
 				}
 				if k+mask < N {
-					rb := r.recv(r.leaderOf(k+mask), tagHierInter)
-					other := r.unpackF64(rb)
-					rb.recycle()
-					r.combine(op, acc, other)
-					RecycleF64(other)
+					combine(op, acc, r.recv(r.leaderOf(k+mask), tagHierInter))
 				}
 				mask <<= 1
 			}
@@ -202,9 +180,7 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 			mask = 1
 			for mask < N {
 				if k&mask != 0 {
-					rb := r.recv(r.leaderOf(k-mask), tagHierInter)
-					acc = r.unpackF64(rb)
-					rb.recycle()
+					acc = r.recv(r.leaderOf(k-mask), tagHierInter)
 					break
 				}
 				mask <<= 1
@@ -212,9 +188,7 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 			mask >>= 1
 			for mask > 0 {
 				if k+mask < N {
-					pb := r.packF64(acc)
-					r.send(r.leaderOf(k+mask), tagHierInter, pb)
-					pb.recycle()
+					r.send(r.leaderOf(k+mask), tagHierInter, acc)
 				}
 				mask >>= 1
 			}
@@ -225,9 +199,7 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 		mask := 1
 		for mask < R {
 			if j&mask != 0 {
-				rb := r.recv(r.id-mask, tagHierDown)
-				acc = r.unpackF64(rb)
-				rb.recycle()
+				acc = r.recv(r.id-mask, tagHierDown)
 				break
 			}
 			mask <<= 1
@@ -235,9 +207,7 @@ func (r *Rank) hierAllreduce(vec []float64, op Op) []float64 {
 		mask >>= 1
 		for mask > 0 {
 			if j+mask < R {
-				pb := r.packF64(acc)
-				r.send(r.id+mask, tagHierDown, pb)
-				pb.recycle()
+				r.send(r.id+mask, tagHierDown, acc)
 			}
 			mask >>= 1
 		}
@@ -264,7 +234,6 @@ func (r *Rank) hierAllgather(block payload) payload {
 		for src := 1; src < R; src++ {
 			d := r.recv(r.id+src, tagHierUp)
 			out.copyAt((r.id+src)*m, d)
-			d.recycle()
 		}
 	}
 	// Phase 2: leaders exchange node blocks (R*m bytes each) across the
@@ -281,7 +250,6 @@ func (r *Rank) hierAllgather(block payload) payload {
 				r.send(r.leaderOf(pk), tagHierInter, out.sub(group*nb, (group+mask)*nb))
 				inc := r.recv(r.leaderOf(pk), tagHierInter)
 				out.copyAt(pgroup*nb, inc)
-				inc.recycle()
 			}
 		case N&(N-1) == 0:
 			// Gray-code ring: consecutive ring positions differ in one
@@ -296,7 +264,6 @@ func (r *Rank) hierAllgather(block payload) payload {
 				cur = grayCode((p - step - 1 + N) % N)
 				d := r.recv(r.leaderOf(left), tagHierInter)
 				out.copyAt(cur*nb, d)
-				d.recycle()
 			}
 		default:
 			r.setAlgo("hier:ring")
@@ -308,7 +275,6 @@ func (r *Rank) hierAllgather(block payload) payload {
 				cur = (cur - 1 + N) % N
 				d := r.recv(r.leaderOf(left), tagHierInter)
 				out.copyAt(cur*nb, d)
-				d.recycle()
 			}
 		}
 	}
@@ -319,7 +285,6 @@ func (r *Rank) hierAllgather(block payload) payload {
 			if j&mask != 0 {
 				d := r.recv(r.id-mask, tagHierDown)
 				out.copyAt(0, d)
-				d.recycle()
 				break
 			}
 			mask <<= 1
@@ -360,7 +325,6 @@ func (r *Rank) hierAlltoall(data payload, blockBytes int) payload {
 		for src := 1; src < R; src++ {
 			d := r.recv(r.id+src, tagHierUp)
 			agg.copyAt(src*n*m, d)
-			d.recycle()
 		}
 	}
 	row := func(p payload, local int) payload { return p.sub(local*n*m, (local+1)*n*m) }
@@ -389,7 +353,6 @@ func (r *Rank) hierAlltoall(data payload, blockBytes int) payload {
 			}
 		}
 		r.send(r.leaderOf(dstNode), tagHierInter, sb)
-		sb.recycle()
 		d := r.recv(r.leaderOf(srcNode), tagHierInter)
 		for jj := 0; jj < R; jj++ {
 			for l := 0; l < R; l++ {
@@ -397,17 +360,14 @@ func (r *Rank) hierAlltoall(data payload, blockBytes int) payload {
 				res.copyAt(l*n*m+src, d.sub((jj*R+l)*m, (jj*R+l+1)*m))
 			}
 		}
-		d.recycle()
 	}
 	if R > 1 {
-		agg.recycle()
 	}
 	// Phase 3: linear scatter of each local rank's result row.
 	for l := 1; l < R; l++ {
 		r.send(r.id+l, tagHierDown, row(res, l))
 	}
 	out := row(res, 0).clone()
-	res.recycle()
 	return out
 }
 

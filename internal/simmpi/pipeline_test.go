@@ -15,17 +15,16 @@ import (
 func pipelineBody(msg, rounds int, compute vclock.Time) func(r *Rank) {
 	return func(r *Rank) {
 		n, id := r.Size(), r.ID()
-		buf := payloadPool.Get(msg)
+		buf := make([]byte, msg)
 		for p := 0; p < rounds; p++ {
 			if id > 0 {
-				Recycle(r.Recv(id-1, p))
+				r.Recv(id-1, p)
 			}
 			r.Compute(compute)
 			if id < n-1 {
 				r.Send(id+1, p, buf)
 			}
 		}
-		Recycle(buf)
 	}
 }
 

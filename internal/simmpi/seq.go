@@ -94,50 +94,35 @@ func seqBody(r *Rank, steps []SeqStep, iters int) {
 	for it := 0; it < iters; it++ {
 		for _, st := range steps {
 			if st.Kind == PipelineKind && id > 0 {
-				r.recv(id-1, 0).recycle()
+				r.recv(id-1, 0)
 			}
 			if c := stepCompute(id, st.Compute, st.ComputePer); c > 0 {
 				r.Compute(c)
 			}
-			var buf payload
 			switch st.Kind {
 			case ComputeStep:
 			case PipelineKind:
 				if id < n-1 {
-					buf = r.w.alloc(st.Bytes)
-					r.send(id+1, 0, buf)
+					r.send(id+1, 0, r.w.alloc(st.Bytes))
 				}
 			case PairKind:
 				partner := id ^ 1
-				buf = r.w.alloc(stepRankBytes(id, st.Bytes, st.BytesPer))
-				r.send(partner, 0, buf)
-				r.recv(partner, 0).recycle()
+				r.send(partner, 0, r.w.alloc(stepRankBytes(id, st.Bytes, st.BytesPer)))
+				r.recv(partner, 0)
 			case RingKind:
 				sh := seqShift(st, n)
-				buf = r.w.alloc(stepRankBytes(id, st.Bytes, st.BytesPer))
-				r.send((id+sh)%n, 0, buf)
-				r.recv((id-sh+n)%n, 0).recycle()
+				r.send((id+sh)%n, 0, r.w.alloc(stepRankBytes(id, st.Bytes, st.BytesPer)))
+				r.recv((id-sh+n)%n, 0)
 			case BcastKind:
-				buf = r.w.alloc(st.Bytes)
-				if out := r.bcast(0, buf); id != 0 {
-					out.recycle()
-				}
+				r.bcast(0, r.w.alloc(st.Bytes))
 			case AllreduceKind:
-				elems := st.Bytes / 8
-				if elems < 1 {
-					elems = 1
-				}
-				vec := f64Pool.Get(elems)
-				RecycleF64(r.Allreduce(vec, OpSum))
-				RecycleF64(vec)
+				// A vector of at least one element, carried as its length.
+				r.allreduce(payload{n: 8 * max(st.Bytes/8, 1)}, OpSum)
 			case AllgatherKind:
-				buf = r.w.alloc(st.Bytes)
-				r.allgather(buf).recycle()
+				r.allgather(r.w.alloc(st.Bytes))
 			case AlltoallKind:
-				buf = r.w.alloc(n * st.Bytes)
-				r.alltoall(buf, st.Bytes).recycle()
+				r.alltoall(r.w.alloc(n*st.Bytes), st.Bytes)
 			}
-			buf.recycle()
 		}
 	}
 }

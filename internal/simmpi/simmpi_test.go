@@ -256,7 +256,7 @@ func TestEagerOverlap(t *testing.T) {
 
 func TestBytesF64Roundtrip(t *testing.T) {
 	v := []float64{0, 1.5, -2.25, 1e300, -1e-300}
-	got := bytesToF64(f64ToBytes(v))
+	got := unpackF64(new(World).packF64(v))
 	for i := range v {
 		if got[i] != v[i] {
 			t.Fatalf("roundtrip[%d] = %v, want %v", i, got[i], v[i])

@@ -1,9 +1,8 @@
 package simomp
 
 import (
-	"sync"
-
 	"maia/internal/vclock"
+	"maia/internal/workgroup"
 )
 
 // OpenMP explicit tasks (#pragma omp task ... taskwait). The paper's
@@ -47,17 +46,11 @@ func (t *Team) Tasks(n int, cost func(i int) vclock.Time, body func(i int)) vclo
 
 	// Real execution.
 	if body != nil {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, t.workers)
+		g := workgroup.New(t.workers)
 		for i := 0; i < n; i++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer func() { <-sem; wg.Done() }()
-				body(i)
-			}(i)
+			g.Go(func() { body(i) })
 		}
-		wg.Wait()
+		g.Wait()
 	}
 
 	// Virtual schedule: the creator emits tasks one creation interval

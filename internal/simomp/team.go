@@ -3,10 +3,10 @@ package simomp
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"maia/internal/simtrace"
 	"maia/internal/vclock"
+	"maia/internal/workgroup"
 )
 
 // ForOpts configures one work-shared loop.
@@ -166,24 +166,20 @@ func (t *Team) run(perThread [][]chunk, body func(i int)) {
 	if body == nil {
 		return
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, t.workers)
+	g := workgroup.New(t.workers)
 	for _, chunks := range perThread {
 		if len(chunks) == 0 {
 			continue
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(chunks []chunk) {
-			defer func() { <-sem; wg.Done() }()
+		g.Go(func() {
 			for _, c := range chunks {
 				for i := c.lo; i < c.hi; i++ {
 					body(i)
 				}
 			}
-		}(chunks)
+		})
 	}
-	wg.Wait()
+	g.Wait()
 }
 
 // For runs a work-shared loop of n iterations under a parallel region
@@ -217,17 +213,11 @@ func (t *Team) ParallelFor(n int, o ForOpts, body func(i int)) vclock.Time {
 // means zero). Returns fork/join overhead plus the longest thread.
 func (t *Team) Parallel(body func(tid int), perThreadCost func(tid int) vclock.Time) vclock.Time {
 	if body != nil {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, t.workers)
+		g := workgroup.New(t.workers)
 		for tid := 0; tid < t.threads; tid++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(tid int) {
-				defer func() { <-sem; wg.Done() }()
-				body(tid)
-			}(tid)
+			g.Go(func() { body(tid) })
 		}
-		wg.Wait()
+		g.Wait()
 	}
 	var span vclock.Time
 	if perThreadCost != nil {
@@ -252,16 +242,12 @@ func (t *Team) ForReduceSum(n int, o ForOpts, body func(i int) float64) (float64
 	perThread, span := t.schedule(n, o)
 	partials := make([]float64, t.threads)
 	if body != nil {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, t.workers)
+		g := workgroup.New(t.workers)
 		for tid, chunks := range perThread {
 			if len(chunks) == 0 {
 				continue
 			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(tid int, chunks []chunk) {
-				defer func() { <-sem; wg.Done() }()
+			g.Go(func() {
 				s := 0.0
 				for _, c := range chunks {
 					for i := c.lo; i < c.hi; i++ {
@@ -269,9 +255,9 @@ func (t *Team) ForReduceSum(n int, o ForOpts, body func(i int) float64) (float64
 					}
 				}
 				partials[tid] = s
-			}(tid, chunks)
+			})
 		}
-		wg.Wait()
+		g.Wait()
 	}
 	sum := 0.0
 	for _, p := range partials {

@@ -40,19 +40,12 @@ func (r *RNG) Float64() float64 {
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
-	r.PermInto(p)
-	return p
-}
-
-// PermInto fills p with a pseudo-random permutation of [0, len(p)),
-// consuming exactly the same stream draws as Perm — callers with pooled
-// buffers get the identical permutation without the allocation.
-func (r *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := len(p) - 1; i > 0; i-- {
+	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
+	return p
 }
