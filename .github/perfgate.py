@@ -24,7 +24,11 @@ BUDGETS = {
     "setup_s": ("<=", 0.5),  # contains one fresh-process full-suite rep
     "suite_p90_s": ("<=", 0.5),
     "fleet_s": ("<=", 0.5),
-    "suite_mallocs": ("<=", 234_800),  # 225.2K + ext-fleet-recovery's old 9.6K slack
+    # 24.9-25.8K (8 s runs) + ext-fleet-recovery's old 9.6K slack. Mailboxes
+    # are built only when World.Run starts ranks and timing-only OpenMP
+    # loops keep no chunk lists; per-rank mailboxes or per-loop chunk
+    # lists on priced points put ~200K back and trip it.
+    "suite_mallocs": ("<=", 35_500),
     "simfleet.run_mallocs": ("<=", 10_000),
     # ~2x the 346 ns median of five traced serve-cold runs (270-390 ns,
     # 2-vCPU VM) with the arrival slot; fleet_s alone has ~13x headroom.

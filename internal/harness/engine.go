@@ -79,14 +79,27 @@ func RenderBytes(e Experiment, env Env) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
+// renderRecovered is Render with a panic, including one a worker
+// goroutine re-raises through workgroup, turned into the experiment's
+// error: one crashing experiment then fails alone instead of killing
+// the process that runs the rest.
+func renderRecovered(w io.Writer, e Experiment, env Env) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("harness: %s: panic: %v", e.ID, p)
+		}
+	}()
+	return Render(w, e, env)
+}
+
 // RunExperiments executes exps on a pool of workers goroutines, each
 // experiment against its own Env clone, and writes the buffered outputs
 // to w in slice order as they become available — so the bytes written
 // are identical to rendering the slice sequentially, regardless of
 // worker count or completion order. Like Registry.RunAll, output stops
-// at the first experiment that fails (its error is returned);
-// experiments after it still execute and report through the returned
-// Results, which are indexed in slice order.
+// at the first experiment that fails (its error is returned), a panic
+// counting as a failure; experiments after it still execute and report
+// through the returned Results, which are indexed in slice order.
 //
 // With tracing enabled (env.Tracer non-nil), each experiment records
 // into a private child tracer whose process name is the experiment ID;
@@ -130,7 +143,7 @@ func RunExperiments(w io.Writer, env Env, exps []Experiment, workers int) ([]Res
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)
 				start := time.Now()
-				err := Render(&bufs[i], e, cenv)
+				err := renderRecovered(&bufs[i], e, cenv)
 				wall := time.Since(start)
 				runtime.ReadMemStats(&m1)
 				results[i] = Result{

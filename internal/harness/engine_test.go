@@ -8,6 +8,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"maia/internal/machine"
+	"maia/internal/simomp"
+	"maia/internal/vclock"
 )
 
 // Parallel execution of the real suite assembles the exact bytes of a
@@ -149,6 +153,48 @@ func TestRunExperimentsError(t *testing.T) {
 	}
 	if got, want := out.String(), "== ok1: t ==\npaper: p\n\n"; got != want {
 		t.Errorf("output %q, want only the experiment before the failure (%q)", got, want)
+	}
+}
+
+// A panicking experiment, here one whose OpenMP loop body panics on a
+// worker goroutine, fails alone: its Result carries the panic, output
+// stops before it, and the experiments after it still run and report.
+func TestRunExperimentsRecoversPanic(t *testing.T) {
+	reg := NewRegistry()
+	ok := func(w io.Writer, env Env) error { _, err := io.WriteString(w, "body\n"); return err }
+	for _, e := range []Experiment{
+		{ID: "ok1", Title: "t", Paper: "p", Order: 1, Run: ok},
+		{ID: "bad", Title: "t", Paper: "p", Order: 2, Run: func(w io.Writer, env Env) error {
+			team := simomp.NewTeam(simomp.New(machine.HostPartition(env.Node, 1)))
+			team.ParallelFor(64, simomp.ForOpts{IterCost: vclock.Nanosecond}, func(i int) {
+				if i == 17 {
+					panic("kaboom")
+				}
+			})
+			return nil
+		}},
+		{ID: "ok2", Title: "t", Paper: "p", Order: 3, Run: ok},
+	} {
+		if err := reg.Register(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		var out bytes.Buffer
+		results, err := RunExperiments(&out, quickEnv(), reg.All(), workers)
+		const want = "harness: bad: panic: kaboom"
+		if err == nil || err.Error() != want {
+			t.Errorf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+		if results[1].Err == nil || results[1].Err.Error() != want {
+			t.Errorf("workers=%d: results[1].Err = %v, want %q", workers, results[1].Err, want)
+		}
+		if results[2].Err != nil || results[2].Bytes == 0 {
+			t.Errorf("workers=%d: experiment after the panic reports err %v, %d bytes", workers, results[2].Err, results[2].Bytes)
+		}
+		if got, wantOut := out.String(), "== ok1: t ==\npaper: p\nbody\n\n"; got != wantOut {
+			t.Errorf("workers=%d: output %q, want only the experiment before the panic (%q)", workers, got, wantOut)
+		}
 	}
 }
 

@@ -56,6 +56,31 @@ func TestMGVCycleAllocBound(t *testing.T) {
 	}
 }
 
+// TestMGCollapseAllocsIndependentOfThreads pins what one Figure 24 point
+// allocates: its loops are timing-only, so the schedule builds no
+// per-thread chunk lists and 236 threads cost what 60 do, with the
+// collapse on or off. Lists for every loop put thousands of objects
+// back at 236 threads.
+func TestMGCollapseAllocsIndependentOfThreads(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations; bound asserted in normal builds")
+	}
+	m := model()
+	for _, collapse := range []bool{false, true} {
+		allocs := func(threads int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := MGCollapseGflops(m, ClassC, phiP(threads), collapse); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := allocs(60), allocs(236); large > small+8 {
+			t.Errorf("collapse=%v: MGCollapseGflops allocates %v objects at 236 threads, %v at 60; want within 8",
+				collapse, large, small)
+		}
+	}
+}
+
 // BenchmarkFTStep reports the wall and allocation cost of RunFT with a
 // single time step (-benchmem view of the guard above).
 func BenchmarkFTStep(b *testing.B) {

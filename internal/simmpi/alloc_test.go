@@ -139,6 +139,41 @@ func TestRackReplayAllocsIndependentOfNodes(t *testing.T) {
 	}
 }
 
+// TestCollectiveTimeAllocsIndependentOfRanks pins what one replay-priced
+// IMB point allocates: the world's fixed state and the replay's, none
+// of it per rank. A world priced in closed form sends no message, so it
+// builds no mailbox; building one per rank in NewWorld again would cost
+// hundreds of objects at 236 ranks.
+func TestCollectiveTimeAllocsIndependentOfRanks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations; bound asserted in normal builds")
+	}
+	host := Config{Ranks: HostPlacement(16, 1)}
+	phi := Config{Ranks: PhiPlacement(machine.Phi0, 236, 4)}
+	for _, kind := range []CollectiveKind{BcastKind, AllreduceKind, AllgatherKind, AlltoallKind} {
+		allocs := func(cfg Config) float64 {
+			w, err := NewWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := w.RepeatOp(kind, 4096, 100); !ok {
+				t.Fatalf("%v: replay refused %d ranks", kind, len(cfg.Ranks))
+			}
+			return testing.AllocsPerRun(5, func() {
+				if _, err := CollectiveTime(cfg, kind, 4096, 100); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		var small, large float64
+		withFastPath(func() { small, large = allocs(host), allocs(phi) })
+		if large > small+8 {
+			t.Errorf("%v: CollectiveTime allocates %v objects at 236 Phi ranks, %v at 16 host ranks; want within 8",
+				kind, large, small)
+		}
+	}
+}
+
 // BenchmarkSendRecv is the -benchmem view of the same path: a 2-rank
 // world streaming 4 KB messages.
 func BenchmarkSendRecv(b *testing.B) {

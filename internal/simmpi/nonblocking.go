@@ -77,7 +77,7 @@ func Waitall(reqs []*Request) [][]byte {
 // the receiver's virtual clock — wall-clock behavior is unchanged.
 func (r *Rank) recvAt(src, tag int, post vclock.Time) payload {
 	w := r.w
-	box := w.boxes[r.id]
+	box := &w.boxes[r.id]
 	box.mu.Lock()
 	var msg message
 	for {

@@ -105,8 +105,11 @@ func (r *Rank) send(dst, tag int, p payload) {
 	}
 	seq := r.sendSeq
 	r.sendSeq++
-	box := r.w.boxes[dst]
+	box := &r.w.boxes[dst]
 	box.mu.Lock()
+	if box.bySrc == nil {
+		box.bySrc = make(map[int][]message)
+	}
 	box.bySrc[r.id] = append(box.bySrc[r.id], message{tag: tag, data: p.clone(), sendTime: tsPost, seq: seq})
 	box.cond.Signal()
 	box.mu.Unlock()

@@ -226,17 +226,12 @@ type message struct {
 
 // mailbox is one rank's incoming-message store: a FIFO queue per source.
 // Each receiver owns its mailbox, so a send wakes only its destination.
+// bySrc is made by the first send to the rank.
 type mailbox struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     sync.Cond
 	bySrc    map[int][]message
 	poisoned bool
-}
-
-func newMailbox() *mailbox {
-	b := &mailbox{bySrc: make(map[int][]message)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
 }
 
 // World is one MPI job: a set of ranks, the matching engine, and the
@@ -245,7 +240,8 @@ type World struct {
 	cfg  Config
 	size int
 
-	boxes []*mailbox
+	// boxes is built by Run, so a world priced in closed form has none.
+	boxes []mailbox
 
 	finalClocks []vclock.Time
 	profiles    []RankProfile
@@ -296,12 +292,8 @@ func NewWorld(cfg Config, opts ...Option) (*World, error) {
 	w := &World{
 		cfg:         cfg,
 		size:        len(cfg.Ranks),
-		boxes:       make([]*mailbox, len(cfg.Ranks)),
 		finalClocks: make([]vclock.Time, len(cfg.Ranks)),
 		profiles:    make([]RankProfile, len(cfg.Ranks)),
-	}
-	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
 	}
 	w.rack = deriveRack(&cfg)
 	if cfg.Tracer != nil {
@@ -351,6 +343,12 @@ func (w *World) Size() int { return w.size }
 // as an error (other ranks may then block forever in a real deadlock; Run
 // unblocks them by poisoning the matching engine).
 func (w *World) Run(body func(r *Rank)) (err error) {
+	if w.boxes == nil {
+		w.boxes = make([]mailbox, w.size)
+		for i := range w.boxes {
+			w.boxes[i].cond.L = &w.boxes[i].mu
+		}
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, w.size)
 	for id := 0; id < w.size; id++ {
@@ -385,7 +383,8 @@ func (w *World) Run(body func(r *Rank)) (err error) {
 // poison marks every mailbox dead so blocked receivers unwind instead of
 // deadlocking when a rank has failed.
 func (w *World) poison() {
-	for _, b := range w.boxes {
+	for i := range w.boxes {
+		b := &w.boxes[i]
 		b.mu.Lock()
 		b.poisoned = true
 		b.cond.Broadcast()

@@ -1,6 +1,7 @@
 package simmpi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -149,6 +150,70 @@ func TestPoisonUnblocksReceivers(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "deliberate failure") {
 		t.Fatalf("err = %v, want the deliberate failure", err)
+	}
+}
+
+// Mailboxes are built by Run, not NewWorld, so a world priced in closed
+// form never holds one. A world the replay refuses still runs its script
+// through RunSeq, and a second Run on the same world reuses the
+// mailboxes the first one built.
+func TestMailboxesBuiltByRun(t *testing.T) {
+	steps := []SeqStep{{Kind: AllreduceKind, Bytes: 512}, {Compute: vclock.Microsecond, Kind: RingKind, Bytes: 4096}}
+	priced, err := NewWorld(hostCfg(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withFastPath(func() {
+		if _, ok := priced.RepeatSeq(steps, 4); !ok {
+			t.Fatal("replay refused a homogeneous host world")
+		}
+	})
+	if priced.boxes != nil {
+		t.Error("closed-form pricing built mailboxes")
+	}
+
+	mixed := Config{Ranks: append(HostPlacement(3, 1), PhiPlacement(machine.Phi0, 3, 2)...)}
+	w, err := NewWorld(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withFastPath(func() {
+		if _, ok := w.RepeatSeq(steps, 4); ok {
+			t.Fatal("replay priced a heterogeneous world")
+		}
+	})
+	if w.boxes != nil {
+		t.Error("a refused replay built mailboxes")
+	}
+	ref, err := NewWorld(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, world := range []*World{w, ref} {
+		if err := world.RunSeq(steps, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.MaxTime() <= 0 || w.MaxTime() != ref.MaxTime() {
+		t.Errorf("RunSeq makespans %v and %v, want equal and positive", w.MaxTime(), ref.MaxTime())
+	}
+
+	sums := make([]float64, w.Size())
+	err = w.Run(func(r *Rank) {
+		n, id := r.Size(), r.ID()
+		got := r.Sendrecv((id+1)%n, 7, []byte{byte(id)}, (id+n-1)%n, 7)
+		if want := byte((id + n - 1) % n); len(got) != 1 || got[0] != want {
+			panic(fmt.Sprintf("rank %d received %v, want [%d]", id, got, want))
+		}
+		sums[id] = r.AllreduceSum(float64(id))
+	})
+	if err != nil {
+		t.Fatalf("second Run: %v", err)
+	}
+	for id, s := range sums {
+		if s != 15 {
+			t.Errorf("second Run: rank %d Allreduce sum %v, want 15", id, s)
+		}
 	}
 }
 

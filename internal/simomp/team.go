@@ -57,12 +57,22 @@ type chunk struct{ lo, hi int } // [lo, hi)
 
 // schedule computes, deterministically, which chunks each simulated
 // thread executes and the virtual finish time of each thread, given the
-// per-iteration cost model. It returns the per-thread chunk lists and the
-// loop's span (max thread busy time, excluding barrier/fork overheads).
-func (t *Team) schedule(n int, o ForOpts) (perThread [][]chunk, span vclock.Time) {
-	perThread = make([][]chunk, t.threads)
+// per-iteration cost model. It returns the loop's span (max thread busy
+// time, excluding barrier/fork overheads) and its chunk count. Only with
+// keep set does it also return the per-thread chunk lists a body runs;
+// a timing-only loop (every priced path) builds none.
+func (t *Team) schedule(n int, o ForOpts, keep bool) (perThread [][]chunk, chunks int, span vclock.Time) {
+	if keep {
+		perThread = make([][]chunk, t.threads)
+	}
 	if n <= 0 {
-		return perThread, 0
+		return perThread, 0, 0
+	}
+	assign := func(tid, lo, hi int) {
+		chunks++
+		if keep {
+			perThread[tid] = append(perThread[tid], chunk{lo, hi})
+		}
 	}
 	// Iteration costs are nominal healthy-machine durations; a straggler
 	// device stretches them by the fault plan's steady factor.
@@ -91,7 +101,7 @@ func (t *Team) schedule(n int, o ForOpts) (perThread [][]chunk, span vclock.Time
 			if hi > n {
 				hi = n
 			}
-			perThread[tid] = append(perThread[tid], chunk{lo, hi})
+			assign(tid, lo, hi)
 			busy[tid] += cost(lo, hi)
 		}
 	case Dynamic:
@@ -110,7 +120,7 @@ func (t *Team) schedule(n int, o ForOpts) (perThread [][]chunk, span vclock.Time
 				hi = n
 			}
 			tid := earliest(busy)
-			perThread[tid] = append(perThread[tid], chunk{lo, hi})
+			assign(tid, lo, hi)
 			start := vclock.Max(busy[tid], counterFree)
 			counterFree = start + dispatch
 			busy[tid] = start + dispatch + cost(lo, hi)
@@ -131,7 +141,7 @@ func (t *Team) schedule(n int, o ForOpts) (perThread [][]chunk, span vclock.Time
 				hi = n
 			}
 			tid := earliest(busy)
-			perThread[tid] = append(perThread[tid], chunk{lo, hi})
+			assign(tid, lo, hi)
 			start := vclock.Max(busy[tid], counterFree)
 			counterFree = start + dispatch
 			busy[tid] = start + dispatch + cost(lo, hi)
@@ -145,7 +155,7 @@ func (t *Team) schedule(n int, o ForOpts) (perThread [][]chunk, span vclock.Time
 			span = b
 		}
 	}
-	return perThread, span
+	return perThread, chunks, span
 }
 
 // earliest returns the index of the minimum element (ties to the lowest
@@ -189,22 +199,26 @@ func (t *Team) run(perThread [][]chunk, body func(i int)) {
 // The body, when non-nil, really executes; iterations must be independent
 // (the usual OpenMP loop contract).
 func (t *Team) For(n int, o ForOpts, body func(i int)) vclock.Time {
-	perThread, span := t.schedule(n, o)
+	perThread, chunks, span := t.schedule(n, o, body != nil)
 	t.run(perThread, body)
 	elapsed := span + t.rt.SyncOverhead(For)
 	if !o.NoWait {
 		elapsed += t.rt.SyncOverhead(Barrier)
 	}
-	t.rt.trace("for["+schedName(o.Sched)+"]", elapsed, countChunks(perThread))
+	if t.rt.tracer != nil {
+		t.rt.trace("for["+schedName(o.Sched)+"]", elapsed, chunks)
+	}
 	return elapsed
 }
 
 // ParallelFor runs `#pragma omp parallel for`: fork/join plus the loop.
 func (t *Team) ParallelFor(n int, o ForOpts, body func(i int)) vclock.Time {
-	perThread, span := t.schedule(n, o)
+	perThread, chunks, span := t.schedule(n, o, body != nil)
 	t.run(perThread, body)
 	elapsed := span + t.rt.SyncOverhead(ParallelFor)
-	t.rt.trace("parallel_for["+schedName(o.Sched)+"]", elapsed, countChunks(perThread))
+	if t.rt.tracer != nil {
+		t.rt.trace("parallel_for["+schedName(o.Sched)+"]", elapsed, chunks)
+	}
 	return elapsed
 }
 
@@ -239,7 +253,7 @@ func (t *Team) Parallel(body func(tid int), perThreadCost func(tid int) vclock.T
 // Partial sums are combined in deterministic thread order, so the
 // floating-point result is reproducible run to run.
 func (t *Team) ForReduceSum(n int, o ForOpts, body func(i int) float64) (float64, vclock.Time) {
-	perThread, span := t.schedule(n, o)
+	perThread, chunks, span := t.schedule(n, o, body != nil)
 	partials := make([]float64, t.threads)
 	if body != nil {
 		g := workgroup.New(t.workers)
@@ -264,7 +278,9 @@ func (t *Team) ForReduceSum(n int, o ForOpts, body func(i int) float64) (float64
 		sum += p
 	}
 	elapsed := span + t.rt.SyncOverhead(Reduction)
-	t.rt.trace("reduction["+schedName(o.Sched)+"]", elapsed, countChunks(perThread))
+	if t.rt.tracer != nil {
+		t.rt.trace("reduction["+schedName(o.Sched)+"]", elapsed, chunks)
+	}
 	return sum, elapsed
 }
 
@@ -289,7 +305,8 @@ func (t *Team) SingleRegion(body func(), cost vclock.Time) vclock.Time {
 	return elapsed
 }
 
-// schedName is the lower-case schedule tag in traced span names.
+// schedName is the lower-case schedule tag in traced span names; callers
+// concatenate it only when tracing, as the concatenation allocates.
 func schedName(s Schedule) string {
 	switch s {
 	case Dynamic:
@@ -299,13 +316,4 @@ func schedName(s Schedule) string {
 	default:
 		return "static"
 	}
-}
-
-// countChunks totals the dispatched chunks across a schedule.
-func countChunks(perThread [][]chunk) int {
-	n := 0
-	for _, cs := range perThread {
-		n += len(cs)
-	}
-	return n
 }
