@@ -27,17 +27,32 @@ func TestRunEPClassS(t *testing.T) {
 	}
 }
 
-// The distributed MG run matches the serial residual history.
-func TestRunMGWithMPI(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-bench", "mg", "-mpi", "2"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"--- MG ---", "MPI(2 ranks): residual history matches serial", "VERIFIED"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
+// Every benchmark's distributed run at 2 ranks matches its serial run
+// (run returns an error on any divergence).
+func TestRunWithMPI(t *testing.T) {
+	for _, tc := range []struct{ bench, mpiLine string }{
+		{"ep", "sums match serial"},
+		{"cg", "zeta="},
+		{"mg", "residual history matches serial"},
+		{"ft", "checksums match serial"},
+		{"is", "sorted output matches serial"},
+		{"bt", "norm history matches serial"},
+		{"lu", "norm history matches serial"},
+		{"sp", "norm history matches serial"},
+	} {
+		t.Run(tc.bench, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run([]string{"-bench", tc.bench, "-mpi", "2"}, &buf); err != nil {
+				t.Fatal(err)
+			}
+			out := buf.String()
+			header := "--- " + strings.ToUpper(tc.bench) + " ---"
+			for _, want := range []string{header, "MPI(2 ranks): " + tc.mpiLine, "VERIFIED"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("output missing %q:\n%s", want, out)
+				}
+			}
+		})
 	}
 }
 

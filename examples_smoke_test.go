@@ -18,6 +18,13 @@ var exampleChecks = map[string][]string{
 	"distributed": {"NPB kernels", "EP", "MATCHES serial"},
 }
 
+// exampleCounts maps an example to substrings its output must contain
+// exactly that many times; a count of zero rules a line out.
+var exampleCounts = map[string]map[string]int{
+	// Every one of the eight MPI kernels matches its serial kernel.
+	"distributed": {"MATCHES serial": 8, "DIVERGES": 0},
+}
+
 // Every example builds and runs successfully with the expected output.
 func TestExamplesBuildAndRun(t *testing.T) {
 	bin := t.TempDir()
@@ -35,6 +42,11 @@ func TestExamplesBuildAndRun(t *testing.T) {
 			for _, want := range wants {
 				if !strings.Contains(string(out), want) {
 					t.Errorf("%s output missing %q", name, want)
+				}
+			}
+			for sub, want := range exampleCounts[name] {
+				if got := strings.Count(string(out), sub); got != want {
+					t.Errorf("%s output has %q %d times, want %d\n%s", name, sub, got, want, out)
 				}
 			}
 		})

@@ -284,19 +284,19 @@ func RunHybrid(sizes []int, dt float64, steps int, locs []simmpi.Location, threa
 					z := local[0]
 					plane := make([]float64, z.N*z.N)
 					z.BoundaryPlane(false, plane)
-					got := r.Sendrecv(owner[first-1], step, planeBytes(plane),
+					got := r.Sendrecv(owner[first-1], step, simmpi.AppendFloat64s(nil, plane),
 						owner[first-1], step)
 					donorN := sizes[first-1]
-					z.SetGhostPlane(false, bytesPlane(got), donorN)
+					z.SetGhostPlane(false, simmpi.DecodeFloat64s(got), donorN)
 				}
 				if last < len(sizes)-1 {
 					z := local[len(local)-1]
 					plane := make([]float64, z.N*z.N)
 					z.BoundaryPlane(true, plane)
-					got := r.Sendrecv(owner[last+1], step, planeBytes(plane),
+					got := r.Sendrecv(owner[last+1], step, simmpi.AppendFloat64s(nil, plane),
 						owner[last+1], step)
 					donorN := sizes[last+1]
-					z.SetGhostPlane(true, bytesPlane(got), donorN)
+					z.SetGhostPlane(true, simmpi.DecodeFloat64s(got), donorN)
 				}
 			}
 			for _, z := range sub.Zones {
@@ -317,29 +317,4 @@ func RunHybrid(sizes []int, dt float64, steps int, locs []simmpi.Location, threa
 		return nil, err
 	}
 	return sums, nil
-}
-
-// planeBytes and bytesPlane move float64 planes through the byte
-// transport.
-func planeBytes(p []float64) []byte {
-	b := make([]byte, 8*len(p))
-	for i, v := range p {
-		u := math.Float64bits(v)
-		for s := 0; s < 8; s++ {
-			b[8*i+s] = byte(u >> (8 * s))
-		}
-	}
-	return b
-}
-
-func bytesPlane(b []byte) []float64 {
-	p := make([]float64, len(b)/8)
-	for i := range p {
-		var u uint64
-		for s := 0; s < 8; s++ {
-			u |= uint64(b[8*i+s]) << (8 * s)
-		}
-		p[i] = math.Float64frombits(u)
-	}
-	return p
 }

@@ -54,37 +54,17 @@ func NewBT(n int) (*BTState, error) {
 	return st, nil
 }
 
-// lineView gathers a grid line along dim into buf (n cells x 5 comps)
-// and scatterLine writes it back.
-func (st *BTState) lineView(dim, p, q int, buf []float64) {
-	n := st.N
-	for c := 0; c < n; c++ {
-		var off int
-		switch dim {
-		case 0:
-			off = st.U.Idx(c, p, q)
-		case 1:
-			off = st.U.Idx(p, c, q)
-		default:
-			off = st.U.Idx(p, q, c)
-		}
-		copy(buf[c*ncomp:(c+1)*ncomp], st.U.V[off:off+ncomp])
+// solveLine solves the block-tridiagonal system of grid line (p, q)
+// along dim in place. buf (n cells x 5 components) and w (n blocks) are
+// the caller's scratch.
+func (st *BTState) solveLine(dim, p, q int, buf []float64, w []mat5) {
+	base, stride := st.U.line(dim, p, q)
+	for c := 0; c < st.N; c++ {
+		copy(buf[c*ncomp:(c+1)*ncomp], st.U.V[base+c*stride:])
 	}
-}
-
-func (st *BTState) scatterLine(dim, p, q int, buf []float64) {
-	n := st.N
-	for c := 0; c < n; c++ {
-		var off int
-		switch dim {
-		case 0:
-			off = st.U.Idx(c, p, q)
-		case 1:
-			off = st.U.Idx(p, c, q)
-		default:
-			off = st.U.Idx(p, q, c)
-		}
-		copy(st.U.V[off:off+ncomp], buf[c*ncomp:(c+1)*ncomp])
+	blockTriSolve(st.op.a, st.op.b, st.op.c, buf, w)
+	for c := 0; c < st.N; c++ {
+		copy(st.U.V[base+c*stride:base+c*stride+ncomp], buf[c*ncomp:])
 	}
 }
 
@@ -98,21 +78,9 @@ func (st *BTState) Step(team *simomp.Team) {
 		st.U.V[i] += st.tau * st.F.V[i]
 	}
 	for dim := 0; dim < 3; dim++ {
-		solveLine := func(line int) {
-			p, q := line/n, line%n
-			buf := make([]float64, n*ncomp)
-			w := make([]mat5, n)
-			st.lineView(dim, p, q, buf)
-			blockTriSolve(st.op.a, st.op.b, st.op.c, buf, w)
-			st.scatterLine(dim, p, q, buf)
-		}
-		if team == nil {
-			for line := 0; line < n*n; line++ {
-				solveLine(line)
-			}
-		} else {
-			team.ParallelFor(n*n, simomp.ForOpts{Sched: simomp.Static}, solveLine)
-		}
+		runPencils(team, n*n, func(line int) {
+			st.solveLine(dim, line/n, line%n, make([]float64, n*ncomp), make([]mat5, n))
+		})
 	}
 }
 

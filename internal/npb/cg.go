@@ -75,13 +75,7 @@ func MakeCGMatrix(n, nzRow int) *SparseMatrix {
 // SpMV computes y = A*x, work-shared across the team by rows. Rows write
 // disjoint outputs, so parallel results equal serial results exactly.
 func SpMV(m *SparseMatrix, x, y []float64, team *simomp.Team) {
-	body := func(i int) {
-		sum := 0.0
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			sum += m.Val[k] * x[m.Col[k]]
-		}
-		y[i] = sum
-	}
+	body := func(i int) { y[i] = spmvRow(m, x, i) }
 	if team == nil {
 		for i := 0; i < m.N; i++ {
 			body(i)
@@ -89,6 +83,15 @@ func SpMV(m *SparseMatrix, x, y []float64, team *simomp.Team) {
 		return
 	}
 	team.ParallelFor(m.N, simomp.ForOpts{Sched: simomp.Static}, body)
+}
+
+// spmvRow returns row i of A*x.
+func spmvRow(m *SparseMatrix, x []float64, i int) float64 {
+	sum := 0.0
+	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+		sum += m.Val[k] * x[m.Col[k]]
+	}
+	return sum
 }
 
 func dot(a, b []float64, team *simomp.Team) float64 {
@@ -104,10 +107,30 @@ func dot(a, b []float64, team *simomp.Team) float64 {
 	return s
 }
 
+// cgOps are the two operations a CG decomposition supplies; the inner
+// CG loop and the inverse power iteration are otherwise the same for
+// every decomposition. The shared-memory kernel reduces over its team
+// and multiplies with SpMV; an MPI rank holds its row block of each
+// vector, adds its block sums with AllreduceSum and allgathers p before
+// multiplying its rows.
+type cgOps struct {
+	dot    func(a, b []float64) float64
+	matvec func(p, q []float64) // q = A p
+}
+
+// teamCGOps are the shared-memory kernel's operations: serial when team
+// is nil.
+func teamCGOps(m *SparseMatrix, team *simomp.Team) cgOps {
+	return cgOps{
+		dot:    func(a, b []float64) float64 { return dot(a, b, team) },
+		matvec: func(p, q []float64) { SpMV(m, p, q, team) },
+	}
+}
+
 // cgSolve runs `steps` unpreconditioned CG iterations for A z = x,
 // starting from z = 0, and returns ||r|| at exit.
-func cgSolve(m *SparseMatrix, x, z []float64, steps int, team *simomp.Team) float64 {
-	n := m.N
+func cgSolve(x, z []float64, steps int, op cgOps) float64 {
+	n := len(x)
 	r := make([]float64, n)
 	p := make([]float64, n)
 	q := make([]float64, n)
@@ -116,16 +139,16 @@ func cgSolve(m *SparseMatrix, x, z []float64, steps int, team *simomp.Team) floa
 		r[i] = x[i]
 		p[i] = x[i]
 	}
-	rho := dot(r, r, team)
+	rho := op.dot(r, r)
 	for it := 0; it < steps; it++ {
-		SpMV(m, p, q, team)
-		alpha := rho / dot(p, q, team)
+		op.matvec(p, q)
+		alpha := rho / op.dot(p, q)
 		for i := 0; i < n; i++ {
 			z[i] += alpha * p[i]
 			r[i] -= alpha * q[i]
 		}
 		rho0 := rho
-		rho = dot(r, r, team)
+		rho = op.dot(r, r)
 		beta := rho / rho0
 		for i := 0; i < n; i++ {
 			p[i] = r[i] + beta*p[i]
@@ -147,7 +170,12 @@ func RunCG(m *SparseMatrix, shift float64, outerIters int, team *simomp.Team) (C
 	if outerIters < 1 {
 		return CGResult{}, fmt.Errorf("npb: CG needs at least one iteration")
 	}
-	n := m.N
+	return cgPower(m.N, shift, outerIters, teamCGOps(m, team)), nil
+}
+
+// cgPower runs outerIters inverse power iterations on vectors of length
+// n (the whole matrix order, or one rank's row block).
+func cgPower(n int, shift float64, outerIters int, op cgOps) CGResult {
 	x := make([]float64, n)
 	z := make([]float64, n)
 	for i := range x {
@@ -155,13 +183,13 @@ func RunCG(m *SparseMatrix, shift float64, outerIters int, team *simomp.Team) (C
 	}
 	var res CGResult
 	for it := 0; it < outerIters; it++ {
-		res.Residual = cgSolve(m, x, z, 25, team)
-		res.Zeta = shift + 1/dot(x, z, team)
+		res.Residual = cgSolve(x, z, 25, op)
+		res.Zeta = shift + 1/op.dot(x, z)
 		res.ZetaHistory = append(res.ZetaHistory, res.Zeta)
-		norm := math.Sqrt(dot(z, z, team))
+		norm := math.Sqrt(op.dot(z, z))
 		for i := range x {
 			x[i] = z[i] / norm
 		}
 	}
-	return res, nil
+	return res
 }

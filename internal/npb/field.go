@@ -20,6 +20,19 @@ func (f *Field5) Idx(i, j, k int) int {
 	return ((i*f.N+j)*f.N + k) * ncomp
 }
 
+// line returns where grid line (p, q) along dim lies in V: cell c of
+// the line starts at base + c*stride. Along dim 0 the line is (c, p, q),
+// along dim 1 (p, c, q) and along dim 2 (p, q, c).
+func (f *Field5) line(dim, p, q int) (base, stride int) {
+	switch dim {
+	case 0:
+		return f.Idx(0, p, q), f.N * f.N * ncomp
+	case 1:
+		return f.Idx(p, 0, q), f.N * ncomp
+	}
+	return f.Idx(p, q, 0), ncomp
+}
+
 // FillRandom initializes the field from the RANDLC stream (values in
 // [-0.5, 0.5)).
 func (f *Field5) FillRandom() {

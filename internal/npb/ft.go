@@ -96,6 +96,9 @@ func FFT3D(g *FTGrid, invert bool, team *simomp.Team) {
 	})
 }
 
+// runPencils runs body(p) for p in [0, n): serially when team is nil,
+// else work-shared across the team. FFT pencils and BT/SP grid lines
+// are independent, so either order gives the same result.
 func runPencils(team *simomp.Team, n int, body func(p int)) {
 	if team == nil {
 		for p := 0; p < n; p++ {
@@ -157,16 +160,6 @@ func RunFT(nx, ny, nz, steps int, team *simomp.Team) (FTResult, error) {
 	copy(freq.V, u0.V)
 	FFT3D(freq, false, team)
 
-	// Frequency-space decay factors exp(-4 alpha pi^2 |k|^2 t).
-	const alpha = 1e-6
-	decay := func(n, i int) float64 {
-		k := i
-		if k > n/2 {
-			k -= n
-		}
-		return float64(k * k)
-	}
-
 	res := FTResult{}
 	work := NewFTGrid(nx, ny, nz)
 	for step := 1; step <= steps; step++ {
@@ -174,31 +167,52 @@ func RunFT(nx, ny, nz, steps int, team *simomp.Team) (FTResult, error) {
 		for z := 0; z < nz; z++ {
 			for y := 0; y < ny; y++ {
 				for x := 0; x < nx; x++ {
-					k2 := decay(nx, x) + decay(ny, y) + decay(nz, z)
-					f := math.Exp(-4 * alpha * math.Pi * math.Pi * k2 * t)
+					f := ftDecay(nx, ny, nz, x, y, z, t)
 					work.V[work.Idx(x, y, z)] = freq.V[freq.Idx(x, y, z)] * complex(f, 0)
 				}
 			}
 		}
 		FFT3D(work, true, team)
-		// Normalize the inverse transform and checksum 1024 strided
-		// samples, like the reference.
-		norm := complex(1/float64(nx*ny*nz), 0)
-		var sum complex128
-		energy := 0.0
-		n := nx * ny * nz
-		for j := 1; j <= 1024; j++ {
-			q := (j * 17) % n
-			sum += work.V[q] * norm
-		}
-		for _, v := range work.V {
-			vv := v * norm
-			energy += real(vv)*real(vv) + imag(vv)*imag(vv)
-		}
+		sum, energy := ftSums(work.V, 0, nx*ny*nz)
 		res.Checksums = append(res.Checksums, sum)
 		res.Energies = append(res.Energies, energy)
 	}
 	return res, nil
+}
+
+// ftDecay returns the frequency-space decay factor
+// exp(-4 alpha pi^2 |k|^2 t) of mode (x, y, z) on an nx x ny x nz grid.
+func ftDecay(nx, ny, nz, x, y, z int, t float64) float64 {
+	const alpha = 1e-6
+	k2 := ftWave2(nx, x) + ftWave2(ny, y) + ftWave2(nz, z)
+	return math.Exp(-4 * alpha * math.Pi * math.Pi * k2 * t)
+}
+
+// ftWave2 returns the squared signed wavenumber of index i of n.
+func ftWave2(n, i int) float64 {
+	k := i
+	if k > n/2 {
+		k -= n
+	}
+	return float64(k * k)
+}
+
+// ftSums normalizes the inverse transform and returns the checksum of
+// the reference's 1,024 strided samples, plus the energy. v holds
+// points lo..lo+len(v)-1 of an n-point grid (all of it, or one rank's
+// slab): a sample counts on the caller that holds it.
+func ftSums(v []complex128, lo, n int) (sum complex128, energy float64) {
+	norm := complex(1/float64(n), 0)
+	for j := 1; j <= 1024; j++ {
+		if q := (j * 17) % n; q >= lo && q < lo+len(v) {
+			sum += v[q-lo] * norm
+		}
+	}
+	for _, x := range v {
+		vv := x * norm
+		energy += real(vv)*real(vv) + imag(vv)*imag(vv)
+	}
+	return sum, energy
 }
 
 // FTRoundTripError transforms a grid forward and back and returns the

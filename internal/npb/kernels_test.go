@@ -197,7 +197,7 @@ func TestCGSolvesSystem(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	res := cgSolve(m, x, z, 25, nil)
+	res := cgSolve(x, z, 25, teamCGOps(m, nil))
 	// Residual must have dropped by orders of magnitude vs ||x||.
 	if res > 1e-6*math.Sqrt(float64(m.N)) {
 		t.Fatalf("CG residual %v too large", res)
@@ -281,6 +281,57 @@ func TestMGParallelAndCollapseMatchSerial(t *testing.T) {
 			if math.Abs(par.ResidualNorms[i]-ser.ResidualNorms[i]) > 1e-12 {
 				t.Fatalf("collapse=%v: residual %d differs: %v vs %v",
 					collapse, i, par.ResidualNorms[i], ser.ResidualNorms[i])
+			}
+		}
+	}
+}
+
+// A sweep over a sub-range of i-planes, which is what an MPI rank runs
+// on its slab, computes on a team (collapse off and on) exactly what the
+// serial whole-grid sweep computes on those planes, and writes no other
+// point.
+func TestMGSweepSubRangeMatchesSerial(t *testing.T) {
+	const n, lo, hi, untouched = 16, 5, 11, 7.0
+	u, f := NewMGGrid(n), NewMGGrid(n)
+	seed := DefaultSeed
+	for i := range u.V {
+		u.V[i] = Randlc(&seed, MultA)
+		f.V[i] = Randlc(&seed, MultA)
+	}
+	fresh := func() *MGGrid {
+		g := NewMGGrid(n)
+		for i := range g.V {
+			g.V[i] = untouched
+		}
+		return g
+	}
+	sweeps := map[string]func(out *MGGrid, lo, hi int, team *simomp.Team, collapse bool){
+		"smooth": func(out *MGGrid, lo, hi int, team *simomp.Team, collapse bool) {
+			MGSmooth(u, f, out, lo, hi, team, collapse)
+		},
+		"residual": func(out *MGGrid, lo, hi int, team *simomp.Team, collapse bool) {
+			MGResidual(u, f, out, lo, hi, team, collapse)
+		},
+	}
+	team := testTeam()
+	for name, sweep := range sweeps {
+		whole := fresh()
+		sweep(whole, 1, n-1, nil, false)
+		for _, collapse := range []bool{false, true} {
+			got := fresh()
+			sweep(got, lo, hi, team, collapse)
+			for i := 0; i <= n; i++ {
+				for j := 0; j <= n; j++ {
+					for k := 0; k <= n; k++ {
+						want := whole.V[whole.Idx(i, j, k)]
+						if i < lo || i > hi {
+							want = untouched
+						}
+						if v := got.V[got.Idx(i, j, k)]; math.Float64bits(v) != math.Float64bits(want) {
+							t.Fatalf("%s collapse=%v: (%d,%d,%d) = %v, want %v", name, collapse, i, j, k, v, want)
+						}
+					}
+				}
 			}
 		}
 	}

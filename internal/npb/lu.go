@@ -45,29 +45,6 @@ func NewLU(n int) (*LUState, error) {
 func (st *LUState) sweep(team *simomp.Team, dir int) {
 	n := st.N
 	planes := 3*(n-1) + 1
-	// Each invocation carries its own scratch so hyperplane cells can be
-	// relaxed concurrently.
-	relaxSafe := func(i, j, k int) {
-		var rhsL, tmpL [ncomp]float64
-		off := st.U.Idx(i, j, k)
-		copy(rhsL[:], st.F.V[off:off+ncomp])
-		for _, d := range [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
-			ni, nj, nk := i+d[0], j+d[1], k+d[2]
-			if ni < 0 || nj < 0 || nk < 0 || ni >= n || nj >= n || nk >= n {
-				continue
-			}
-			noff := st.U.Idx(ni, nj, nk)
-			st.off.matvec(st.U.V[noff:noff+ncomp], tmpL[:])
-			for c := 0; c < ncomp; c++ {
-				rhsL[c] -= tmpL[c]
-			}
-		}
-		st.diagInv.matvec(rhsL[:], tmpL[:])
-		for c := 0; c < ncomp; c++ {
-			st.U.V[off+c] += st.omega * (tmpL[c] - st.U.V[off+c])
-		}
-	}
-
 	for pi := 0; pi < planes; pi++ {
 		plane := pi
 		if dir < 0 {
@@ -76,12 +53,12 @@ func (st *LUState) sweep(team *simomp.Team, dir int) {
 		cells := hyperplaneCells(n, plane)
 		if team == nil {
 			for _, c := range cells {
-				relaxSafe(c[0], c[1], c[2])
+				luRelaxCell(st, c[0], c[1], c[2])
 			}
 		} else {
 			team.ParallelFor(len(cells), simomp.ForOpts{Sched: simomp.Static}, func(x int) {
 				c := cells[x]
-				relaxSafe(c[0], c[1], c[2])
+				luRelaxCell(st, c[0], c[1], c[2])
 			})
 		}
 	}
@@ -110,9 +87,39 @@ func hyperplaneCells(n, plane int) [][3]int {
 // ResidualNorm returns ||f - A u|| (RMS).
 func (st *LUState) ResidualNorm() float64 {
 	n := st.N
+	return math.Sqrt(luResidualPlanes(st, 0, n) / float64(n*n*n*ncomp))
+}
+
+// luRelaxCell applies one SSOR update to cell (i,j,k). It carries its
+// own scratch, so the cells of one hyperplane relax concurrently.
+func luRelaxCell(st *LUState, i, j, k int) {
+	n := st.N
+	var rhs, tmp [ncomp]float64
+	off := st.U.Idx(i, j, k)
+	copy(rhs[:], st.F.V[off:off+ncomp])
+	for _, d := range [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
+		ni, nj, nk := i+d[0], j+d[1], k+d[2]
+		if ni < 0 || nj < 0 || nk < 0 || ni >= n || nj >= n || nk >= n {
+			continue
+		}
+		noff := st.U.Idx(ni, nj, nk)
+		st.off.matvec(st.U.V[noff:noff+ncomp], tmp[:])
+		for c := 0; c < ncomp; c++ {
+			rhs[c] -= tmp[c]
+		}
+	}
+	st.diagInv.matvec(rhs[:], tmp[:])
+	for c := 0; c < ncomp; c++ {
+		st.U.V[off+c] += st.omega * (tmp[c] - st.U.V[off+c])
+	}
+}
+
+// luResidualPlanes sums the squared residual over planes [lo, hi).
+func luResidualPlanes(st *LUState, lo, hi int) float64 {
+	n := st.N
 	var tmp [ncomp]float64
 	s := 0.0
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		for j := 0; j < n; j++ {
 			for k := 0; k < n; k++ {
 				off := st.U.Idx(i, j, k)
@@ -138,7 +145,7 @@ func (st *LUState) ResidualNorm() float64 {
 			}
 		}
 	}
-	return math.Sqrt(s / float64(n*n*n*ncomp))
+	return s
 }
 
 // Step runs one SSOR iteration (forward + backward sweep).

@@ -14,87 +14,79 @@ import (
 //     PIPELINED rank to rank — the production code's wavefront. Updates
 //     read new values of lower neighbours and old values of upper ones,
 //     so any topological order (serial hyperplanes, distributed
-//     plane-pipeline) produces bit-identical results.
+//     plane-pipeline) relaxes the field bit-identically.
 //   - BT-MPI: the ADI scheme with j- and k-line solves local to each
 //     slab and the i-line block-tridiagonal solves PIPELINED through the
 //     ranks (distributed Thomas: forward elimination flows right,
 //     back-substitution flows left).
 //   - EP-MPI: batches split across ranks, sums combined with Allreduce.
+//
+// Every norm is summed over the owned planes and combined with
+// AllreduceSum, so histories match the serial kernels to reduction
+// rounding: at 2 or more ranks they can differ in the last bits.
 
 // RunLUMPI runs the LU benchmark with `ranks` slab ranks. The residual
-// history matches the serial RunLU exactly.
+// history matches the serial RunLU to reduction rounding.
 func RunLUMPI(n, steps, ranks int) ([]float64, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("npb: LU grid %d too small", n)
+	lu, err := NewLU(n)
+	if err != nil {
+		return nil, err
 	}
 	if steps < 1 || ranks < 1 || ranks > n {
 		return nil, fmt.Errorf("npb: LU needs steps >= 1 and 1..%d ranks", n)
 	}
-	w, err := simmpi.NewWorld(simmpi.Config{Ranks: simmpi.HostPlacement(ranks, 1)})
-	if err != nil {
-		return nil, err
-	}
 	res := make([]float64, steps)
-	err = w.Run(func(r *simmpi.Rank) {
-		st, err := NewLU(n)
-		if err != nil {
-			panic(err)
-		}
-		lo, hi := blockRange(n, ranks, r.ID())
-		planeVals := n * n * ncomp
-
-		// ghostPlane extracts plane i of U.
-		plane := func(i int) []float64 {
-			return st.U.V[st.U.Idx(i, 0, 0) : st.U.Idx(i, 0, 0)+planeVals]
-		}
-		relaxPlane := func(i int) {
-			for j := 0; j < n; j++ {
-				for k := 0; k < n; k++ {
-					luRelaxCell(st, i, j, k)
-				}
-			}
-		}
+	err = runRanks(ranks, func(r *simmpi.Rank) {
+		st := *lu
+		st.U = lu.U.Clone()
+		id := r.ID()
+		lo, hi := blockRange(n, ranks, id)
+		plane := func(i int) []float64 { return st.U.V[st.U.Idx(i, 0, 0):st.U.Idx(i+1, 0, 0)] }
+		send := func(to, tag, i int) { r.Send(to, tag, simmpi.AppendFloat64s(nil, plane(i))) }
+		recv := func(from, tag, i int) { copy(plane(i), simmpi.DecodeFloat64s(r.Recv(from, tag))) }
 		for step := 0; step < steps; step++ {
 			// Forward sweep: wait for the updated plane lo-1, relax my
-			// planes in order, pass plane hi right.
-			if r.ID() > 0 {
-				copy(plane(lo-1), bytesToF64Buf(r.Recv(r.ID()-1, 20)))
+			// planes in order, pass plane hi-1 right.
+			if id > 0 {
+				recv(id-1, 20, lo-1)
 			}
 			for i := lo; i < hi; i++ {
-				relaxPlane(i)
+				for j := 0; j < n; j++ {
+					for k := 0; k < n; k++ {
+						luRelaxCell(&st, i, j, k)
+					}
+				}
 			}
-			if r.ID() < ranks-1 {
-				r.Send(r.ID()+1, 20, f64ToBytesBuf(plane(hi-1)))
+			if id < ranks-1 {
+				send(id+1, 20, hi-1)
 			}
 			// Backward sweep: mirror image.
-			if r.ID() < ranks-1 {
-				copy(plane(hi), bytesToF64Buf(r.Recv(r.ID()+1, 21)))
+			if id < ranks-1 {
+				recv(id+1, 21, hi)
 			}
 			for i := hi - 1; i >= lo; i-- {
 				for j := n - 1; j >= 0; j-- {
 					for k := n - 1; k >= 0; k-- {
-						luRelaxCell(st, i, j, k)
+						luRelaxCell(&st, i, j, k)
 					}
 				}
 			}
-			if r.ID() > 0 {
-				r.Send(r.ID()-1, 21, f64ToBytesBuf(plane(lo)))
+			if id > 0 {
+				send(id-1, 21, lo)
 			}
 			// Residual over owned planes; neighbours' boundary planes
 			// are needed once more for the stencil.
-			if r.ID() > 0 {
-				r.Send(r.ID()-1, 22, f64ToBytesBuf(plane(lo)))
+			if id > 0 {
+				send(id-1, 22, lo)
 			}
-			if r.ID() < ranks-1 {
-				copy(plane(hi), bytesToF64Buf(r.Recv(r.ID()+1, 22)))
-				r.Send(r.ID()+1, 23, f64ToBytesBuf(plane(hi-1)))
+			if id < ranks-1 {
+				recv(id+1, 22, hi)
+				send(id+1, 23, hi-1)
 			}
-			if r.ID() > 0 {
-				copy(plane(lo-1), bytesToF64Buf(r.Recv(r.ID()-1, 23)))
+			if id > 0 {
+				recv(id-1, 23, lo-1)
 			}
-			sum := luResidualPlanes(st, lo, hi)
-			tot := r.AllreduceSum(sum)
-			if r.ID() == 0 {
+			if tot := r.AllreduceSum(luResidualPlanes(&st, lo, hi)); id == 0 {
 				res[step] = math.Sqrt(tot / float64(n*n*n*ncomp))
 			}
 		}
@@ -102,143 +94,70 @@ func RunLUMPI(n, steps, ranks int) ([]float64, error) {
 	return res, err
 }
 
-// luRelaxCell applies one SSOR update to cell (i,j,k) — the same
-// arithmetic as the serial sweep's body.
-func luRelaxCell(st *LUState, i, j, k int) {
-	n := st.N
-	var rhs, tmp [ncomp]float64
-	off := st.U.Idx(i, j, k)
-	copy(rhs[:], st.F.V[off:off+ncomp])
-	for _, d := range [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
-		ni, nj, nk := i+d[0], j+d[1], k+d[2]
-		if ni < 0 || nj < 0 || nk < 0 || ni >= n || nj >= n || nk >= n {
-			continue
-		}
-		noff := st.U.Idx(ni, nj, nk)
-		st.off.matvec(st.U.V[noff:noff+ncomp], tmp[:])
-		for c := 0; c < ncomp; c++ {
-			rhs[c] -= tmp[c]
-		}
-	}
-	st.diagInv.matvec(rhs[:], tmp[:])
-	for c := 0; c < ncomp; c++ {
-		st.U.V[off+c] += st.omega * (tmp[c] - st.U.V[off+c])
-	}
-}
-
-// luResidualPlanes sums the squared residual over planes [lo, hi).
-func luResidualPlanes(st *LUState, lo, hi int) float64 {
-	n := st.N
-	var tmp [ncomp]float64
-	s := 0.0
-	for i := lo; i < hi; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				off := st.U.Idx(i, j, k)
-				var rr [ncomp]float64
-				st.diag.matvec(st.U.V[off:off+ncomp], tmp[:])
-				for c := 0; c < ncomp; c++ {
-					rr[c] = st.F.V[off+c] - tmp[c]
-				}
-				for _, d := range [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
-					ni, nj, nk := i+d[0], j+d[1], k+d[2]
-					if ni < 0 || nj < 0 || nk < 0 || ni >= n || nj >= n || nk >= n {
-						continue
-					}
-					noff := st.U.Idx(ni, nj, nk)
-					st.off.matvec(st.U.V[noff:noff+ncomp], tmp[:])
-					for c := 0; c < ncomp; c++ {
-						rr[c] -= tmp[c]
-					}
-				}
-				for c := 0; c < ncomp; c++ {
-					s += rr[c] * rr[c]
-				}
-			}
-		}
-	}
-	return s
-}
-
 // RunBTMPI runs the BT benchmark with `ranks` slab ranks: j/k ADI sweeps
-// local, i-sweeps as a distributed block-Thomas pipeline. Norm history
-// matches the serial RunBT exactly.
+// local, i-sweeps as a distributed block-Thomas pipeline. The norm
+// history matches the serial RunBT to reduction rounding.
 func RunBTMPI(n, steps, ranks int) ([]float64, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("npb: BT grid %d too small", n)
+	bt, err := NewBT(n)
+	if err != nil {
+		return nil, err
 	}
 	if steps < 1 || ranks < 1 || ranks > n {
 		return nil, fmt.Errorf("npb: BT needs steps >= 1 and 1..%d ranks", n)
 	}
-	w, err := simmpi.NewWorld(simmpi.Config{Ranks: simmpi.HostPlacement(ranks, 1)})
-	if err != nil {
-		return nil, err
-	}
-	res := make([]float64, steps)
-	err = w.Run(func(r *simmpi.Rank) {
-		st, err := NewBT(n)
-		if err != nil {
-			panic(err)
-		}
-		lo, hi := blockRange(n, ranks, r.ID())
+	return runADIMPI(n, steps, ranks, func() adiRank {
+		st := *bt
+		st.U = bt.U.Clone()
+		buf, w := make([]float64, n*ncomp), make([]mat5, n)
+		return adiRank{st.U, st.F, st.tau,
+			func(r *simmpi.Rank, lo, hi int) { btSolveILines(r, &st, lo, hi, ranks) },
+			func(dim, p, q int) { st.solveLine(dim, p, q, buf, w) }}
+	})
+}
 
+// adiRank is one rank's copy of a BT or SP state, as runADIMPI drives
+// it.
+type adiRank struct {
+	u, f   *Field5
+	tau    float64
+	iLines func(r *simmpi.Rank, lo, hi int) // the pipelined i-line solves
+	line   func(dim, p, q int)              // one local line solve
+}
+
+// runADIMPI is the slab-decomposed ADI time loop BT and SP share. Each
+// rank owns i-planes [lo, hi) and, per step, adds the forcing there,
+// solves the i-lines through the rank pipeline, solves its j- and
+// k-lines locally with the serial kernel's line solve, and reduces the
+// norm.
+func runADIMPI(n, steps, ranks int, newRank func() adiRank) ([]float64, error) {
+	res := make([]float64, steps)
+	err := runRanks(ranks, func(r *simmpi.Rank) {
+		st := newRank()
+		lo, hi := blockRange(n, ranks, r.ID())
+		u := st.u.V[st.u.Idx(lo, 0, 0):st.u.Idx(hi, 0, 0)]
+		f := st.f.V[st.f.Idx(lo, 0, 0):st.f.Idx(hi, 0, 0)]
 		for step := 0; step < steps; step++ {
-			// Forcing on owned planes.
-			for i := lo; i < hi; i++ {
-				base := st.U.Idx(i, 0, 0)
-				for o := base; o < base+n*n*ncomp; o++ {
-					st.U.V[o] += st.tau * st.F.V[o]
+			for o := range u {
+				u[o] += st.tau * f[o]
+			}
+			st.iLines(r, lo, hi)
+			for dim := 1; dim < 3; dim++ {
+				for i := lo; i < hi; i++ {
+					for q := 0; q < n; q++ {
+						st.line(dim, i, q)
+					}
 				}
 			}
-			// dim 0: distributed i-line solves.
-			btSolveILines(r, st, lo, hi, ranks)
-			// dims 1, 2: local line solves on owned planes.
-			btSolveLocal(st, lo, hi, 1)
-			btSolveLocal(st, lo, hi, 2)
-
-			// Norm over owned planes.
 			sum := 0.0
-			for o := st.U.Idx(lo, 0, 0); o < st.U.Idx(hi, 0, 0); o++ {
-				sum += st.U.V[o] * st.U.V[o]
+			for _, v := range u {
+				sum += v * v
 			}
-			tot := r.AllreduceSum(sum)
-			if r.ID() == 0 {
+			if tot := r.AllreduceSum(sum); r.ID() == 0 {
 				res[step] = math.Sqrt(tot / float64(n*n*n*ncomp))
 			}
 		}
 	})
 	return res, err
-}
-
-// btSolveLocal runs the dim-1 or dim-2 line solves for the owned planes.
-func btSolveLocal(st *BTState, lo, hi, dim int) {
-	n := st.N
-	buf := make([]float64, n*ncomp)
-	ws := make([]mat5, n)
-	for i := lo; i < hi; i++ {
-		for q := 0; q < n; q++ {
-			// Gather the line (i fixed; dim runs over j or k).
-			for c := 0; c < n; c++ {
-				var off int
-				if dim == 1 {
-					off = st.U.Idx(i, c, q)
-				} else {
-					off = st.U.Idx(i, q, c)
-				}
-				copy(buf[c*ncomp:(c+1)*ncomp], st.U.V[off:off+ncomp])
-			}
-			blockTriSolve(st.op.a, st.op.b, st.op.c, buf, ws)
-			for c := 0; c < n; c++ {
-				var off int
-				if dim == 1 {
-					off = st.U.Idx(i, c, q)
-				} else {
-					off = st.U.Idx(i, q, c)
-				}
-				copy(st.U.V[off:off+ncomp], buf[c*ncomp:(c+1)*ncomp])
-			}
-		}
-	}
 }
 
 // btSolveILines runs the i-direction block-tridiagonal solves as a
@@ -258,7 +177,7 @@ func btSolveILines(r *simmpi.Rank, st *BTState, lo, hi, ranks int) {
 	// Forward elimination.
 	var incoming []float64
 	if r.ID() > 0 {
-		incoming = bytesToF64Buf(r.Recv(r.ID()-1, 30))
+		incoming = simmpi.DecodeFloat64s(r.Recv(r.ID()-1, 30))
 	}
 	outgoing := make([]float64, lines*wgLen)
 	var tmp [ncomp]float64
@@ -298,13 +217,13 @@ func btSolveILines(r *simmpi.Rank, st *BTState, lo, hi, ranks int) {
 		copy(outgoing[line*wgLen+ncomp*ncomp:(line+1)*wgLen], gPrev[:])
 	}
 	if r.ID() < ranks-1 {
-		r.Send(r.ID()+1, 30, f64ToBytesBuf(outgoing))
+		r.Send(r.ID()+1, 30, simmpi.AppendFloat64s(nil, outgoing))
 	}
 
 	// Back substitution: u_i = g_i - W_i u_{i+1}.
 	var uNext []float64
 	if r.ID() < ranks-1 {
-		uNext = bytesToF64Buf(r.Recv(r.ID()+1, 31))
+		uNext = simmpi.DecodeFloat64s(r.Recv(r.ID()+1, 31))
 	}
 	uOut := make([]float64, lines*ncomp)
 	for line := 0; line < lines; line++ {
@@ -331,7 +250,7 @@ func btSolveILines(r *simmpi.Rank, st *BTState, lo, hi, ranks int) {
 		copy(uOut[line*ncomp:(line+1)*ncomp], next[:])
 	}
 	if r.ID() > 0 {
-		r.Send(r.ID()-1, 31, f64ToBytesBuf(uOut))
+		r.Send(r.ID()-1, 31, simmpi.AppendFloat64s(nil, uOut))
 	}
 }
 
@@ -346,12 +265,8 @@ func RunEPMPI(pairs int64, ranks int) (EPResult, error) {
 	if ranks < 1 || ranks > batches {
 		return EPResult{}, fmt.Errorf("npb: %d ranks for %d batches", ranks, batches)
 	}
-	w, err := simmpi.NewWorld(simmpi.Config{Ranks: simmpi.HostPlacement(ranks, 1)})
-	if err != nil {
-		return EPResult{}, err
-	}
 	var res EPResult
-	err = w.Run(func(r *simmpi.Rank) {
+	err := runRanks(ranks, func(r *simmpi.Rank) {
 		lo, hi := blockRange(batches, ranks, r.ID())
 		var part EPResult
 		for j := lo; j < hi; j++ {

@@ -2,7 +2,6 @@ package npb
 
 import (
 	"fmt"
-	"math"
 
 	"maia/internal/simmpi"
 )
@@ -52,12 +51,9 @@ func (st *mgRankState) exchangeHalo(g *MGGrid, lo, hi int) {
 	r := st.rank
 	id := r.ID()
 	s := g.N + 1
-	planeBytes := func(i int) []byte {
-		return planeToBytes(g.V[g.Idx(i, 0, 0) : g.Idx(i, 0, 0)+s*s])
-	}
-	setPlane := func(i int, b []byte) {
-		bytesToPlane(b, g.V[g.Idx(i, 0, 0):g.Idx(i, 0, 0)+s*s])
-	}
+	plane := func(i int) []float64 { return g.V[g.Idx(i, 0, 0) : g.Idx(i, 0, 0)+s*s] }
+	planeBytes := func(i int) []byte { return simmpi.AppendFloat64s(nil, plane(i)) }
+	setPlane := func(i int, b []byte) { copy(plane(i), simmpi.DecodeFloat64s(b)) }
 	// Right-going: my hi plane becomes the right neighbour's lo-1 ghost.
 	if id < st.ranks-1 {
 		r.Send(id+1, 10, planeBytes(hi))
@@ -76,93 +72,8 @@ func (st *mgRankState) exchangeHalo(g *MGGrid, lo, hi int) {
 
 // smoothSlab runs one weighted-Jacobi sweep on the owned planes.
 func smoothSlab(sl *mgSlab) {
-	n := sl.u.N
-	h2 := 1.0 / float64(n*n)
-	const w = 2.0 / 3.0
-	s := n + 1
-	for i := sl.lo; i <= sl.hi; i++ {
-		for j := 1; j < n; j++ {
-			for k := 1; k < n; k++ {
-				c := sl.u.Idx(i, j, k)
-				lap := (6*sl.u.V[c] - sl.u.V[c-1] - sl.u.V[c+1] -
-					sl.u.V[c-s] - sl.u.V[c+s] - sl.u.V[c-s*s] - sl.u.V[c+s*s]) / h2
-				sl.tmp.V[c] = sl.u.V[c] + w*(sl.f.V[c]-lap)*h2/6
-			}
-		}
-	}
+	MGSmooth(sl.u, sl.f, sl.tmp, sl.lo, sl.hi, nil, false)
 	sl.u, sl.tmp = sl.tmp, sl.u
-}
-
-// residualSlab computes r = f - A u on the owned planes.
-func residualSlab(sl *mgSlab) {
-	n := sl.u.N
-	h2 := 1.0 / float64(n*n)
-	s := n + 1
-	for i := sl.lo; i <= sl.hi; i++ {
-		for j := 1; j < n; j++ {
-			for k := 1; k < n; k++ {
-				c := sl.u.Idx(i, j, k)
-				lap := (6*sl.u.V[c] - sl.u.V[c-1] - sl.u.V[c+1] -
-					sl.u.V[c-s] - sl.u.V[c+s] - sl.u.V[c-s*s] - sl.u.V[c+s*s]) / h2
-				sl.r.V[c] = sl.f.V[c] - lap
-			}
-		}
-	}
-}
-
-// restrictSlab full-weights the fine residual into the coarse forcing.
-func restrictSlab(fine, coarse *mgSlab) {
-	nc := coarse.f.N
-	w1 := [3]float64{0.25, 0.5, 0.25}
-	for i := coarse.lo; i <= coarse.hi; i++ {
-		for j := 1; j < nc; j++ {
-			for k := 1; k < nc; k++ {
-				sum := 0.0
-				for di := -1; di <= 1; di++ {
-					for dj := -1; dj <= 1; dj++ {
-						for dk := -1; dk <= 1; dk++ {
-							w := w1[di+1] * w1[dj+1] * w1[dk+1]
-							sum += w * fine.r.V[fine.r.Idx(2*i+di, 2*j+dj, 2*k+dk)]
-						}
-					}
-				}
-				coarse.f.V[coarse.f.Idx(i, j, k)] = sum
-			}
-		}
-	}
-}
-
-// prolongSlab adds the trilinear coarse correction into the fine planes.
-func prolongSlab(coarse, fine *mgSlab) {
-	n := fine.u.N
-	for i := fine.lo; i <= fine.hi; i++ {
-		for j := 1; j < n; j++ {
-			for k := 1; k < n; k++ {
-				v := 0.0
-				i0, iw := i/2, 1.0
-				j0, jw := j/2, 1.0
-				k0, kw := k/2, 1.0
-				iOdd, jOdd, kOdd := i%2 == 1, j%2 == 1, k%2 == 1
-				if iOdd {
-					iw = 0.5
-				}
-				if jOdd {
-					jw = 0.5
-				}
-				if kOdd {
-					kw = 0.5
-				}
-				for di := 0; di <= b2i(iOdd); di++ {
-					for dj := 0; dj <= b2i(jOdd); dj++ {
-						for dk := 0; dk <= b2i(kOdd); dk++ {
-							v += iw * jw * kw * coarse.u.V[coarse.u.Idx(i0+di, j0+dj, k0+dk)]
-						}
-					}
-				}
-				fine.u.V[fine.u.Idx(i, j, k)] += v
-			}
-		}
-	}
 }
 
 // vcycleMPI runs one V-cycle from distributed level l.
@@ -173,21 +84,19 @@ func (st *mgRankState) vcycleMPI(l int) {
 		smoothSlab(sl)
 	}
 	st.exchangeHalo(sl.u, sl.lo, sl.hi)
-	residualSlab(sl)
+	MGResidual(sl.u, sl.f, sl.r, sl.lo, sl.hi, nil, false)
 
 	if l == len(st.levels)-1 {
 		// Coarse remainder on rank 0.
 		st.coarseSolve(sl)
 	} else {
 		next := st.levels[l+1]
-		for i := range next.u.V {
-			next.u.V[i] = 0
-		}
+		clear(next.u.V)
 		st.exchangeHalo(sl.r, sl.lo, sl.hi)
-		restrictSlab(sl, next)
+		MGRestrict(sl.r, next.f, next.lo, next.hi)
 		st.vcycleMPI(l + 1)
 		st.exchangeHalo(next.u, next.lo, next.hi)
-		prolongSlab(next, sl)
+		MGProlong(next.u, sl.u, sl.lo, sl.hi)
 	}
 
 	for s := 0; s < 2; s++ {
@@ -209,7 +118,7 @@ func (st *mgRankState) coarseSolve(sl *mgSlab) {
 	// at lo; for the last rank the final plane is the (zero) boundary.
 	per := n / st.ranks
 	mine := sl.r.V[sl.r.Idx(sl.lo, 0, 0):sl.r.Idx(sl.lo+per, 0, 0)]
-	full := r.Gather(0, planeToBytes(mine))
+	full := r.Gather(0, simmpi.AppendFloat64s(nil, mine))
 	if r.ID() == 0 {
 		// Assemble the full residual as the coarse problem's forcing:
 		// restrict it one level and run the serial hierarchy below.
@@ -217,27 +126,24 @@ func (st *mgRankState) coarseSolve(sl *mgSlab) {
 		blockLen := per * s * s
 		for id := 0; id < st.ranks; id++ {
 			lo, _ := slabRange(n, st.ranks, id)
-			src := bytesToF64Buf(full[id*blockLen*8 : (id+1)*blockLen*8])
+			src := simmpi.DecodeFloat64s(full[id*blockLen*8 : (id+1)*blockLen*8])
 			copy(rFull.V[rFull.Idx(lo, 0, 0):rFull.Idx(lo+per, 0, 0)], src)
 		}
 		// The serial hierarchy starts at n/2 (the next coarser level).
 		h := st.serial
-		MGRestrict(rFull, h.f[0])
-		for i := range h.u[0].V {
-			h.u[0].V[i] = 0
-		}
+		MGRestrict(rFull, h.f[0], 1, n/2-1)
+		clear(h.u[0].V)
 		h.vcycle(0, nil, false)
 		// Prolong the correction to level n and broadcast it.
 		corr := NewMGGrid(n)
-		MGProlong(h.u[0], corr)
-		payload := planeToBytes(corr.V)
-		r.Bcast(0, payload)
+		MGProlong(h.u[0], corr, 1, n-1)
+		r.Bcast(0, simmpi.AppendFloat64s(nil, corr.V))
 		for i := range corr.V {
 			sl.u.V[i] += corr.V[i]
 		}
 	} else {
 		payload := r.Bcast(0, make([]byte, len(sl.u.V)*8))
-		corr := bytesToF64Buf(payload)
+		corr := simmpi.DecodeFloat64s(payload)
 		// Apply only to owned planes (+ ghosts refreshed later anyway).
 		for i := sl.u.Idx(sl.lo-1, 0, 0); i < sl.u.Idx(sl.hi+1, 0, 0)+s*s && i < len(corr); i++ {
 			sl.u.V[i] += corr[i]
@@ -258,12 +164,8 @@ func RunMGMPI(n, cycles, ranks int) (MGResult, error) {
 	if ranks < 1 || n%(2*ranks) != 0 {
 		return MGResult{}, fmt.Errorf("npb: %d ranks must divide n/2 = %d", ranks, n/2)
 	}
-	w, err := simmpi.NewWorld(simmpi.Config{Ranks: simmpi.HostPlacement(ranks, 1)})
-	if err != nil {
-		return MGResult{}, err
-	}
 	res := MGResult{ResidualNorms: make([]float64, cycles)}
-	err = w.Run(func(r *simmpi.Rank) {
+	err := runRanks(ranks, func(r *simmpi.Rank) {
 		st := &mgRankState{rank: r, ranks: ranks}
 		// Distributed levels: while the slab keeps >= 2 planes per rank
 		// and divides evenly.
@@ -278,44 +180,17 @@ func RunMGMPI(n, cycles, ranks int) (MGResult, error) {
 		if r.ID() == 0 {
 			st.serial = newHierarchy(st.serialTop / 2)
 		}
-		// Forcing: the shared RANDLC stream in the serial kernel's plane
-		// order, seekable per slab (one draw per interior point).
 		fine := st.levels[0]
-		ptsPerPlane := (n - 1) * (n - 1)
-		seed := RandSeek(DefaultSeed, int64((fine.lo-1)*ptsPerPlane))
-		for i := fine.lo; i <= fine.hi; i++ {
-			for j := 1; j < n; j++ {
-				for k := 1; k < n; k++ {
-					fine.f.V[fine.f.Idx(i, j, k)] = Randlc(&seed, MultA) - 0.5
-				}
-			}
-		}
+		mgForcing(fine.f, fine.lo, fine.hi)
 		for c := 0; c < cycles; c++ {
 			st.vcycleMPI(0)
 			st.exchangeHalo(fine.u, fine.lo, fine.hi)
-			residualSlab(fine)
-			sum := 0.0
-			for i := fine.lo; i <= fine.hi; i++ {
-				for j := 1; j < n; j++ {
-					for k := 1; k < n; k++ {
-						v := fine.r.V[fine.r.Idx(i, j, k)]
-						sum += v * v
-					}
-				}
-			}
-			tot := r.AllreduceSum(sum)
+			MGResidual(fine.u, fine.f, fine.r, fine.lo, fine.hi, nil, false)
+			tot := r.AllreduceSum(mgSumSq(fine.r, fine.lo, fine.hi))
 			if r.ID() == 0 {
-				res.ResidualNorms[c] = math.Sqrt(tot / float64((n-1)*(n-1)*(n-1)))
+				res.ResidualNorms[c] = mgNorm(tot, n)
 			}
 		}
 	})
 	return res, err
-}
-
-// planeToBytes / bytesToPlane move float64 planes through the byte
-// transport without allocations beyond the message buffer.
-func planeToBytes(v []float64) []byte { return f64ToBytesBuf(v) }
-
-func bytesToPlane(b []byte, out []float64) {
-	copy(out, bytesToF64Buf(b))
 }

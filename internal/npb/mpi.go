@@ -38,6 +38,25 @@ func ValidRankCount(b Benchmark, ranks int) bool {
 	}
 }
 
+// pricingInputs checks that b accepts `ranks` and returns what both
+// pricing drivers (MPIRun, RackRun) start from: b's class-c work
+// profile, problem size and resident footprint.
+func pricingInputs(b Benchmark, c Class, ranks int) (core.Workload, Size, int64, error) {
+	if !ValidRankCount(b, ranks) {
+		return core.Workload{}, Size{}, 0, fmt.Errorf("npb: %v does not accept %d ranks", b, ranks)
+	}
+	w, err := Profile(b, c)
+	if err != nil {
+		return core.Workload{}, Size{}, 0, err
+	}
+	s, err := SizeOf(b, c)
+	if err != nil {
+		return core.Workload{}, Size{}, 0, err
+	}
+	mem, err := MemoryBytes(b, c)
+	return w, s, mem, err
+}
+
 // MPIResult is one MPI-mode datapoint of Figure 20.
 type MPIResult struct {
 	Bench  Benchmark
@@ -52,18 +71,7 @@ type MPIResult struct {
 // On the Phi, ranks beyond 59 oversubscribe cores with hardware threads
 // (64 ranks ≈ 2 per core, 128 ≈ 3, 225+ ≈ 4).
 func MPIRun(m core.Model, b Benchmark, c Class, dev machine.Device, ranks int, node *machine.Node) (MPIResult, error) {
-	if !ValidRankCount(b, ranks) {
-		return MPIResult{}, fmt.Errorf("npb: %v does not accept %d ranks", b, ranks)
-	}
-	w, err := Profile(b, c)
-	if err != nil {
-		return MPIResult{}, err
-	}
-	s, err := SizeOf(b, c)
-	if err != nil {
-		return MPIResult{}, err
-	}
-	mem, err := MemoryBytes(b, c)
+	w, s, mem, err := pricingInputs(b, c, ranks)
 	if err != nil {
 		return MPIResult{}, err
 	}

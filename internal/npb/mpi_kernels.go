@@ -14,7 +14,7 @@ import (
 // slab-decomposed FT with an all-to-all transpose, and bucketed IS with
 // a key exchange. Tests verify each against its serial kernel, so the
 // message-passing layer is exercised by real numerics, not just timing
-// scripts (those live in mpi.go and drive Figure 20 at class C).
+// scripts (those live in seq.go and drive Figure 20 at class C).
 
 // blockRange splits n items over `ranks`, returning [lo, hi) for rank id
 // (first n%ranks ranks get one extra).
@@ -29,13 +29,6 @@ func blockRange(n, ranks, id int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // allgatherBlocks gathers variable-length float64 blocks (padded to the
 // maximum block length for the fixed-size Allgather) and reassembles the
 // full vector of length n.
@@ -44,7 +37,7 @@ func allgatherBlocks(r *simmpi.Rank, block []float64, n int) []float64 {
 	maxLen := n/ranks + 1
 	padded := make([]float64, maxLen)
 	copy(padded, block)
-	all := bytesToF64Buf(r.Allgather(f64ToBytesBuf(padded)))
+	all := simmpi.DecodeFloat64s(r.Allgather(simmpi.AppendFloat64s(nil, padded)))
 	out := make([]float64, 0, n)
 	for id := 0; id < ranks; id++ {
 		lo, hi := blockRange(n, ranks, id)
@@ -53,28 +46,26 @@ func allgatherBlocks(r *simmpi.Rank, block []float64, n int) []float64 {
 	return out
 }
 
-func f64ToBytesBuf(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+// runRanks runs body on every rank of a `ranks`-rank world of host
+// cores, the world every real MPI kernel here runs in.
+func runRanks(ranks int, body func(r *simmpi.Rank)) error {
+	w, err := simmpi.NewWorld(simmpi.Config{Ranks: simmpi.HostPlacement(ranks, 1)})
+	if err != nil {
+		return err
 	}
-	return b
-}
-
-func bytesToF64Buf(b []byte) []float64 {
-	v := make([]float64, len(b)/8)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return v
+	return w.Run(body)
 }
 
 // --- CG ---------------------------------------------------------------
 
 // RunCGMPI runs the CG benchmark as a real MPI program: each rank owns a
-// contiguous row block of the matrix; the matvec operand is assembled
-// with Allgather and the dot products with Allreduce — the communication
-// pattern Figure 20's CG rows are priced with.
+// contiguous row block of the matrix and runs the serial kernel's CG
+// and power loops on it; the matvec operand is assembled with Allgather
+// and the dot products with Allreduce. That is not the pattern Figure
+// 20's CG rows are priced with: iterationSeq charges each CG step the
+// reference code's exchange with a transpose partner (a PairKind step
+// of 8·N/√ranks bytes, not a gather of the whole vector) plus three
+// 8-byte Allreduces, where this loop makes two.
 func RunCGMPI(m *SparseMatrix, shift float64, outerIters, ranks int) (CGResult, error) {
 	if outerIters < 1 {
 		return CGResult{}, fmt.Errorf("npb: CG needs at least one iteration")
@@ -82,74 +73,18 @@ func RunCGMPI(m *SparseMatrix, shift float64, outerIters, ranks int) (CGResult, 
 	if ranks < 1 || ranks > m.N {
 		return CGResult{}, fmt.Errorf("npb: %d ranks for a %d-row matrix", ranks, m.N)
 	}
-	w, err := simmpi.NewWorld(simmpi.Config{Ranks: simmpi.HostPlacement(ranks, 1)})
-	if err != nil {
-		return CGResult{}, err
-	}
 	var res CGResult
-	err = w.Run(func(r *simmpi.Rank) {
-		n := m.N
-		lo, hi := blockRange(n, ranks, r.ID())
-		mine := hi - lo
-
-		dot := func(a, b []float64) float64 {
-			s := 0.0
-			for i := range a {
-				s += a[i] * b[i]
-			}
-			return r.AllreduceSum(s)
-		}
-		matvec := func(pBlock, out []float64) {
-			pFull := allgatherBlocks(r, pBlock, n)
-			for i := 0; i < mine; i++ {
-				row := lo + i
-				s := 0.0
-				for k := m.RowPtr[row]; k < m.RowPtr[row+1]; k++ {
-					s += m.Val[k] * pFull[m.Col[k]]
+	err := runRanks(ranks, func(r *simmpi.Rank) {
+		lo, hi := blockRange(m.N, ranks, r.ID())
+		local := cgPower(hi-lo, shift, outerIters, cgOps{
+			dot: func(a, b []float64) float64 { return r.AllreduceSum(dot(a, b, nil)) },
+			matvec: func(p, q []float64) {
+				pFull := allgatherBlocks(r, p, m.N)
+				for i := range q {
+					q[i] = spmvRow(m, pFull, lo+i)
 				}
-				out[i] = s
-			}
-		}
-
-		x := make([]float64, mine)
-		z := make([]float64, mine)
-		rv := make([]float64, mine)
-		p := make([]float64, mine)
-		q := make([]float64, mine)
-		for i := range x {
-			x[i] = 1
-		}
-		var local CGResult
-		for it := 0; it < outerIters; it++ {
-			// 25 CG steps for A z = x.
-			for i := 0; i < mine; i++ {
-				z[i] = 0
-				rv[i] = x[i]
-				p[i] = x[i]
-			}
-			rho := dot(rv, rv)
-			for step := 0; step < 25; step++ {
-				matvec(p, q)
-				alpha := rho / dot(p, q)
-				for i := 0; i < mine; i++ {
-					z[i] += alpha * p[i]
-					rv[i] -= alpha * q[i]
-				}
-				rho0 := rho
-				rho = dot(rv, rv)
-				beta := rho / rho0
-				for i := 0; i < mine; i++ {
-					p[i] = rv[i] + beta*p[i]
-				}
-			}
-			local.Residual = math.Sqrt(rho)
-			local.Zeta = shift + 1/dot(x, z)
-			local.ZetaHistory = append(local.ZetaHistory, local.Zeta)
-			norm := math.Sqrt(dot(z, z))
-			for i := range x {
-				x[i] = z[i] / norm
-			}
-		}
+			},
+		})
 		if r.ID() == 0 {
 			res = local
 		}
@@ -176,15 +111,11 @@ func RunFTMPI(nx, ny, nz, steps, ranks int) (FTResult, error) {
 	if ranks < 1 || nz%ranks != 0 || nx%ranks != 0 {
 		return FTResult{}, fmt.Errorf("npb: %d ranks must divide nz=%d and nx=%d", ranks, nz, nx)
 	}
-	w, err := simmpi.NewWorld(simmpi.Config{Ranks: simmpi.HostPlacement(ranks, 1)})
-	if err != nil {
-		return FTResult{}, err
-	}
 	res := FTResult{
 		Checksums: make([]complex128, steps),
 		Energies:  make([]float64, steps),
 	}
-	err = w.Run(func(r *simmpi.Rank) { ftRankBody(r, nx, ny, nz, steps, ranks, &res) })
+	err := runRanks(ranks, func(r *simmpi.Rank) { ftRankBody(r, nx, ny, nz, steps, ranks, &res) })
 	return res, err
 }
 
@@ -213,14 +144,6 @@ func ftRankBody(r *simmpi.Rank, nx, ny, nz, steps, ranks int, res *FTResult) {
 	ftZ(b, ny, nz, xSlab, false)
 	freq := b // layout B: b[(x-myX0)*ny*nz + y*nz + z]
 
-	const alpha = 1e-6
-	decay := func(n, i int) float64 {
-		k := i
-		if k > n/2 {
-			k -= n
-		}
-		return float64(k * k)
-	}
 	myX0 := id * xSlab
 	work := make([]complex128, len(freq))
 	for step := 1; step <= steps; step++ {
@@ -228,8 +151,7 @@ func ftRankBody(r *simmpi.Rank, nx, ny, nz, steps, ranks int, res *FTResult) {
 		for xi := 0; xi < xSlab; xi++ {
 			for y := 0; y < ny; y++ {
 				for z := 0; z < nz; z++ {
-					k2 := decay(nx, myX0+xi) + decay(ny, y) + decay(nz, z)
-					f := math.Exp(-4 * alpha * math.Pi * math.Pi * k2 * t)
+					f := ftDecay(nx, ny, nz, myX0+xi, y, z, t)
 					idx := (xi*ny+y)*nz + z
 					work[idx] = freq[idx] * complex(f, 0)
 				}
@@ -241,24 +163,8 @@ func ftRankBody(r *simmpi.Rank, nx, ny, nz, steps, ranks int, res *FTResult) {
 		ftXY(back, nx, ny, zSlab, true)
 
 		// Checksum and energy over this slab, reduced globally.
-		norm := complex(1/float64(nx*ny*nz), 0)
-		var sumRe, sumIm, energy float64
-		n := nx * ny * nz
-		for j := 1; j <= 1024; j++ {
-			q := (j * 17) % n
-			z := q / (ny * nx)
-			if z < myZ0 || z >= myZ0+zSlab {
-				continue
-			}
-			v := back[q-myZ0*ny*nx] * norm
-			sumRe += real(v)
-			sumIm += imag(v)
-		}
-		for _, v := range back {
-			vv := v * norm
-			energy += real(vv)*real(vv) + imag(vv)*imag(vv)
-		}
-		tot := r.Allreduce([]float64{sumRe, sumIm, energy}, simmpi.OpSum)
+		sum, energy := ftSums(back, myZ0*ny*nx, nx*ny*nz)
+		tot := r.Allreduce([]float64{real(sum), imag(sum), energy}, simmpi.OpSum)
 		if r.ID() == 0 {
 			res.Checksums[step-1] = complex(tot[0], tot[1])
 			res.Energies[step-1] = tot[2]
@@ -369,13 +275,9 @@ func RunISMPI(n, maxKey int64, iters, ranks int) (ISResult, error) {
 	if ranks < 1 || int64(ranks) > n || maxKey%int64(ranks) != 0 {
 		return ISResult{}, fmt.Errorf("npb: %d ranks must divide maxKey %d", ranks, maxKey)
 	}
-	w, err := simmpi.NewWorld(simmpi.Config{Ranks: simmpi.HostPlacement(ranks, 1)})
-	if err != nil {
-		return ISResult{}, err
-	}
 	sorted := make([]int32, n)
 	counts := make([]int64, ranks)
-	err = w.Run(func(r *simmpi.Rank) {
+	err := runRanks(ranks, func(r *simmpi.Rank) {
 		id := r.ID()
 		lo, hi := blockRange(int(n), ranks, id)
 		// Generate my block by seeking the stream (4 draws per key).
@@ -443,10 +345,10 @@ func RunISMPI(n, maxKey int64, iters, ranks int) (ISResult, error) {
 			mine++
 		}
 		// Global placement: my bucket starts after all lower buckets.
-		startF := r.Allgather(f64ToBytesBuf([]float64{float64(mine)}))
+		startF := r.Allgather(simmpi.AppendFloat64s(nil, []float64{float64(mine)}))
 		start := int64(0)
 		for j := 0; j < id; j++ {
-			start += int64(bytesToF64Buf(startF[j*8 : (j+1)*8])[0])
+			start += int64(simmpi.DecodeFloat64s(startF[j*8 : (j+1)*8])[0])
 		}
 		pos := start
 		for v, c := range hist {

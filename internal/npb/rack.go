@@ -62,18 +62,7 @@ func RackRun(m core.Model, b Benchmark, c Class, nodes, perNode int, node *machi
 		return RackResult{}, fmt.Errorf("npb: %d ranks per node outside 1..%d host cores", perNode, node.HostCores())
 	}
 	ranks := nodes * perNode
-	if !ValidRankCount(b, ranks) {
-		return RackResult{}, fmt.Errorf("npb: %v does not accept %d ranks", b, ranks)
-	}
-	w, err := Profile(b, c)
-	if err != nil {
-		return RackResult{}, err
-	}
-	s, err := SizeOf(b, c)
-	if err != nil {
-		return RackResult{}, err
-	}
-	mem, err := MemoryBytes(b, c)
+	w, s, mem, err := pricingInputs(b, c, ranks)
 	if err != nil {
 		return RackResult{}, err
 	}
@@ -111,27 +100,18 @@ func RackRun(m core.Model, b Benchmark, c Class, nodes, perNode int, node *machi
 
 // rackScript builds one iteration of b's communication pattern as a
 // script, with iterationSeq's message sizes at the rank count of the
-// whole rack. MG's face exchanges are id^1 pairs here: the rack replay
-// prices those, while a ring's node-boundary hops are not
-// index-symmetric.
+// whole rack. CG's script is iterationSeq's. MG's face exchanges are
+// id^1 pairs here, not ring shifts: the rack replay prices those, while
+// a ring's node-boundary hops are not index-symmetric. FT's adds the
+// checksum Allreduce.
 func rackScript(b Benchmark, s Size, ranks int, compute vclock.Time) []simmpi.SeqStep {
 	n := ranks
 	pts := float64(s.Points())
 	switch b {
 	case CG:
-		// 25 CG steps: transpose-partner halo for the matvec, then three
-		// dot-product allreduces.
-		rowBytes := int(8 * float64(s.N) / math.Sqrt(float64(n)))
-		steps := make([]simmpi.SeqStep, 0, 25*4)
-		for step := 0; step < 25; step++ {
-			steps = append(steps,
-				simmpi.SeqStep{Compute: compute / 25, Kind: simmpi.PairKind, Bytes: rowBytes},
-				simmpi.SeqStep{Kind: simmpi.AllreduceKind, Bytes: 8},
-				simmpi.SeqStep{Kind: simmpi.AllreduceKind, Bytes: 8},
-				simmpi.SeqStep{Kind: simmpi.AllreduceKind, Bytes: 8},
-			)
-		}
-		return steps
+		// A rack always has n > 1 ranks, where the CG script has its
+		// transpose-partner exchange.
+		return iterationSeq(b, s, n, compute)
 	case MG:
 		// Halo exchanges on every level: 3 face pairs, shrinking with
 		// level, then the residual-norm allreduce.

@@ -38,6 +38,22 @@ func NewSP(n int) (*SPState, error) {
 	return st, nil
 }
 
+// solveLine solves the five scalar pentadiagonal systems of grid line
+// (p, q) along dim in place, one per component. buf (n values) and
+// scratch are the caller's.
+func (st *SPState) solveLine(dim, p, q int, buf []float64, scratch *pentaScratch) {
+	base, stride := st.U.line(dim, p, q)
+	for comp := 0; comp < ncomp; comp++ {
+		for c := 0; c < st.N; c++ {
+			buf[c] = st.U.V[base+c*stride+comp]
+		}
+		pentaSolve(st.e2, st.e1, st.d, st.f1, st.f2, buf, scratch)
+		for c := 0; c < st.N; c++ {
+			st.U.V[base+c*stride+comp] = buf[c]
+		}
+	}
+}
+
 // Step advances one ADI step: forcing plus three directional passes of
 // per-component pentadiagonal solves.
 func (st *SPState) Step(team *simomp.Team) {
@@ -46,45 +62,9 @@ func (st *SPState) Step(team *simomp.Team) {
 		st.U.V[i] += st.tau * st.F.V[i]
 	}
 	for dim := 0; dim < 3; dim++ {
-		solveLine := func(line int) {
-			p, q := line/n, line%n
-			buf := make([]float64, n)
-			scratch := newPentaScratch(n)
-			for comp := 0; comp < ncomp; comp++ {
-				for c := 0; c < n; c++ {
-					var off int
-					switch dim {
-					case 0:
-						off = st.U.Idx(c, p, q)
-					case 1:
-						off = st.U.Idx(p, c, q)
-					default:
-						off = st.U.Idx(p, q, c)
-					}
-					buf[c] = st.U.V[off+comp]
-				}
-				pentaSolve(st.e2, st.e1, st.d, st.f1, st.f2, buf, scratch)
-				for c := 0; c < n; c++ {
-					var off int
-					switch dim {
-					case 0:
-						off = st.U.Idx(c, p, q)
-					case 1:
-						off = st.U.Idx(p, c, q)
-					default:
-						off = st.U.Idx(p, q, c)
-					}
-					st.U.V[off+comp] = buf[c]
-				}
-			}
-		}
-		if team == nil {
-			for line := 0; line < n*n; line++ {
-				solveLine(line)
-			}
-		} else {
-			team.ParallelFor(n*n, simomp.ForOpts{Sched: simomp.Static}, solveLine)
-		}
+		runPencils(team, n*n, func(line int) {
+			st.solveLine(dim, line/n, line%n, make([]float64, n), newPentaScratch(n))
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package npb
 
 import (
 	"fmt"
-	"math"
 
 	"maia/internal/simmpi"
 )
@@ -22,80 +21,23 @@ type spLineState struct {
 }
 
 // RunSPMPI runs the SP benchmark with `ranks` slab ranks. The norm
-// history matches the serial RunSP exactly.
+// history matches the serial RunSP to reduction rounding.
 func RunSPMPI(n, steps, ranks int) ([]float64, error) {
-	if n < 5 {
-		return nil, fmt.Errorf("npb: SP grid %d too small", n)
+	sp, err := NewSP(n)
+	if err != nil {
+		return nil, err
 	}
 	if steps < 1 || ranks < 1 || ranks > n/2 {
 		return nil, fmt.Errorf("npb: SP needs steps >= 1 and 1..%d ranks", n/2)
 	}
-	w, err := simmpi.NewWorld(simmpi.Config{Ranks: simmpi.HostPlacement(ranks, 1)})
-	if err != nil {
-		return nil, err
-	}
-	res := make([]float64, steps)
-	err = w.Run(func(r *simmpi.Rank) {
-		st, err := NewSP(n)
-		if err != nil {
-			panic(err)
-		}
-		lo, hi := blockRange(n, ranks, r.ID())
-
-		for step := 0; step < steps; step++ {
-			for i := lo; i < hi; i++ {
-				base := st.U.Idx(i, 0, 0)
-				for o := base; o < base+n*n*ncomp; o++ {
-					st.U.V[o] += st.tau * st.F.V[o]
-				}
-			}
-			spSolveILines(r, st, lo, hi, ranks)
-			spSolveLocal(st, lo, hi, 1)
-			spSolveLocal(st, lo, hi, 2)
-
-			sum := 0.0
-			for o := st.U.Idx(lo, 0, 0); o < st.U.Idx(hi, 0, 0); o++ {
-				sum += st.U.V[o] * st.U.V[o]
-			}
-			tot := r.AllreduceSum(sum)
-			if r.ID() == 0 {
-				res[step] = math.Sqrt(tot / float64(n*n*n*ncomp))
-			}
-		}
+	return runADIMPI(n, steps, ranks, func() adiRank {
+		st := *sp
+		st.U = sp.U.Clone()
+		buf, scratch := make([]float64, n), newPentaScratch(n)
+		return adiRank{st.U, st.F, st.tau,
+			func(r *simmpi.Rank, lo, hi int) { spSolveILines(r, &st, lo, hi, ranks) },
+			func(dim, p, q int) { st.solveLine(dim, p, q, buf, scratch) }}
 	})
-	return res, err
-}
-
-// spSolveLocal runs the dim-1/dim-2 pentadiagonal solves on owned planes.
-func spSolveLocal(st *SPState, lo, hi, dim int) {
-	n := st.N
-	buf := make([]float64, n)
-	scratch := newPentaScratch(n)
-	for i := lo; i < hi; i++ {
-		for q := 0; q < n; q++ {
-			for comp := 0; comp < ncomp; comp++ {
-				for c := 0; c < n; c++ {
-					var off int
-					if dim == 1 {
-						off = st.U.Idx(i, c, q)
-					} else {
-						off = st.U.Idx(i, q, c)
-					}
-					buf[c] = st.U.V[off+comp]
-				}
-				pentaSolve(st.e2, st.e1, st.d, st.f1, st.f2, buf, scratch)
-				for c := 0; c < n; c++ {
-					var off int
-					if dim == 1 {
-						off = st.U.Idx(i, c, q)
-					} else {
-						off = st.U.Idx(i, q, c)
-					}
-					st.U.V[off+comp] = buf[c]
-				}
-			}
-		}
-	}
 }
 
 // spSolveILines runs the i-direction pentadiagonal solves as a pipeline.
@@ -123,7 +65,7 @@ func spSolveILines(r *simmpi.Rank, st *SPState, lo, hi, ranks int) {
 	// Forward elimination.
 	var incoming []float64
 	if r.ID() > 0 {
-		incoming = bytesToF64Buf(r.Recv(r.ID()-1, 40))
+		incoming = simmpi.DecodeFloat64s(r.Recv(r.ID()-1, 40))
 	}
 	outgoing := make([]float64, lines*stLen)
 	for line := 0; line < lines; line++ {
@@ -168,13 +110,13 @@ func spSolveILines(r *simmpi.Rank, st *SPState, lo, hi, ranks int) {
 		outgoing[o+3], outgoing[o+4], outgoing[o+5] = s.dw1, s.f1w1, s.r1
 	}
 	if r.ID() < ranks-1 {
-		r.Send(r.ID()+1, 40, f64ToBytesBuf(outgoing))
+		r.Send(r.ID()+1, 40, simmpi.AppendFloat64s(nil, outgoing))
 	}
 
 	// Back substitution: u_i = (r_i - f1w_i*u_{i+1} - f2*u_{i+2}) / dw_i.
 	var uNext []float64
 	if r.ID() < ranks-1 {
-		uNext = bytesToF64Buf(r.Recv(r.ID()+1, 41))
+		uNext = simmpi.DecodeFloat64s(r.Recv(r.ID()+1, 41))
 	}
 	uOut := make([]float64, lines*2)
 	for line := 0; line < lines; line++ {
@@ -205,6 +147,6 @@ func spSolveILines(r *simmpi.Rank, st *SPState, lo, hi, ranks int) {
 		uOut[line*2], uOut[line*2+1] = u1, u2
 	}
 	if r.ID() > 0 {
-		r.Send(r.ID()-1, 41, f64ToBytesBuf(uOut))
+		r.Send(r.ID()-1, 41, simmpi.AppendFloat64s(nil, uOut))
 	}
 }

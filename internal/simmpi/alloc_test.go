@@ -56,6 +56,34 @@ func TestSendRecvPooledAllocBound(t *testing.T) {
 	}
 }
 
+// TestRunSeqMessageAllocBound pins what one more goroutine-engine
+// message costs on a 4-rank ring: its payload copy and one amortized
+// mailbox append. A receive that dequeues by reslicing the queue down
+// to zero capacity makes the next send from that source grow a fresh
+// backing array, and reads 3.5 allocs/message here.
+func TestRunSeqMessageAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations; bound asserted in normal builds")
+	}
+	const ranks = 4
+	ringAllocs := func(iters int) float64 {
+		w, err := NewWorld(Config{Ranks: HostPlacement(ranks, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := []SeqStep{{Kind: RingKind, Bytes: 4096}}
+		return testing.AllocsPerRun(3, func() {
+			if err := w.RunSeq(steps, iters); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base, more := ringAllocs(64), ringAllocs(64+1024)
+	if perMsg := (more - base) / (ranks * 1024); perMsg > 2.5 {
+		t.Errorf("ring RunSeq allocates %.2f allocs/message, want <= 2.5", perMsg)
+	}
+}
+
 // TestRepeatOpAllocsIndependentOfIters pins the closed-form replay's
 // defining property: pricing 4096 collectives must not allocate more
 // than pricing 4 (the replay is a scalar recurrence, not a message

@@ -2,6 +2,7 @@ package simmpi
 
 import (
 	"fmt"
+	"slices"
 
 	"maia/internal/simtrace"
 	"maia/internal/vclock"
@@ -95,7 +96,7 @@ func (r *Rank) recvAt(src, tag int, post vclock.Time) payload {
 		}
 		if found >= 0 {
 			msg = q[found]
-			box.bySrc[src] = append(q[:found:found], q[found+1:]...)
+			box.bySrc[src] = slices.Delete(q, found, found+1)
 			break
 		}
 		box.cond.Wait()

@@ -3,6 +3,7 @@ package simmpi
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // payload is a message body as the transport moves it: a length, plus
@@ -74,6 +75,27 @@ func (p payload) clone() payload {
 	return payload{n: p.n, b: append([]byte(nil), p.b...)}
 }
 
+// AppendFloat64s appends v to b in the transport's float64 wire format,
+// 8 little-endian bytes per value, and DecodeFloat64s reads it back:
+// the one encoding programs use to move float64 data through the byte
+// calls (Send, Recv, Bcast, Allgather, ...).
+func AppendFloat64s(b []byte, v []float64) []byte {
+	b = slices.Grow(b, 8*len(v))
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+// DecodeFloat64s returns the len(b)/8 values AppendFloat64s encoded in b.
+func DecodeFloat64s(b []byte) []float64 {
+	v := make([]float64, len(b)/8)
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return v
+}
+
 // packF64 and unpackF64 carry a float64 vector across the public
 // Reduce/Allreduce boundary, the only place a reduction holds one: a
 // size-only world packs only the length and unpacks a zeroed vector.
@@ -81,21 +103,14 @@ func (w *World) packF64(v []float64) payload {
 	if w.cfg.SizeOnlyPayloads {
 		return payload{n: 8 * len(v)}
 	}
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-	return payload{n: len(b), b: b}
+	return payload{n: 8 * len(v), b: AppendFloat64s(nil, v)}
 }
 
 func unpackF64(p payload) []float64 {
-	v := make([]float64, p.n/8)
-	if p.b != nil {
-		for i := range v {
-			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(p.b[8*i:]))
-		}
+	if p.b == nil {
+		return make([]float64, p.n/8)
 	}
-	return v
+	return DecodeFloat64s(p.b)
 }
 
 // combine applies op to two packed vectors, writing dst = op(dst, src)
@@ -105,9 +120,7 @@ func combine(op Op, dst, src payload) {
 	if dst.b == nil || src.b == nil {
 		return
 	}
-	d, s := unpackF64(dst), unpackF64(src)
-	op(d, s)
-	for i, x := range d {
-		binary.LittleEndian.PutUint64(dst.b[8*i:], math.Float64bits(x))
-	}
+	d := unpackF64(dst)
+	op(d, unpackF64(src))
+	AppendFloat64s(dst.b[:0], d)
 }
