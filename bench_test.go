@@ -323,21 +323,6 @@ func BenchmarkAblationBcastLong(b *testing.B) {
 	}
 }
 
-// The FMG-accelerated Cart3D steady solve vs a cold start.
-func BenchmarkKernelCart3DFMG(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := cart3d.NewSolver(8, 8, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.AddPressurePulse(0.1)
-		tol := s.ResidualNorm(nil) / 10
-		if _, _, _, err := s.FMGSolveSteady(tol, 2000, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Real distributed kernels end to end (execution + virtual time).
 func BenchmarkKernelCGMPI(b *testing.B) {
 	m := npb.MakeCGMatrix(400, 5)

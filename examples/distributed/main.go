@@ -31,7 +31,7 @@ func main() {
 	}
 
 	// EP: batch split + allreduce.
-	epSer, err := npb.RunEPSerial(1 << 20)
+	epSer, err := npb.RunEP(1<<20, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

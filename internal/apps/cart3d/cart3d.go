@@ -217,20 +217,3 @@ func (s *Solver) Totals() [nvar]float64 {
 	}
 	return t
 }
-
-// MinDensityPressure returns the domain minima of density and pressure
-// (positivity check).
-func (s *Solver) MinDensityPressure() (rho, p float64) {
-	rho, p = math.Inf(1), math.Inf(1)
-	cells := s.Nx * s.Ny * s.Nz
-	for c := 0; c < cells; c++ {
-		r, _, _, _, pp := s.Primitive(c)
-		if r < rho {
-			rho = r
-		}
-		if pp < p {
-			p = pp
-		}
-	}
-	return
-}

@@ -57,9 +57,10 @@ func TestPositivity(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Step(s.StableDt(0.4), nil)
 	}
-	rho, p := s.MinDensityPressure()
-	if rho <= 0 || p <= 0 {
-		t.Fatalf("positivity lost: rho=%v p=%v", rho, p)
+	for c := 0; c < s.Nx*s.Ny*s.Nz; c++ {
+		if rho, _, _, _, p := s.Primitive(c); rho <= 0 || p <= 0 {
+			t.Fatalf("positivity lost at cell %d: rho=%v p=%v", c, rho, p)
+		}
 	}
 }
 
@@ -153,89 +154,5 @@ func TestFig21Shape(t *testing.T) {
 	}
 	if err := OneraM6Workload().Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// --- multigrid acceleration ---
-
-func TestCoarsenConserves(t *testing.T) {
-	s, _ := NewSolver(8, 8, 8)
-	s.AddPressurePulse(0.2)
-	c, err := s.Coarsen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Nx != 4 || c.H != s.H*2 {
-		t.Fatalf("coarse geometry wrong: %d, h=%v", c.Nx, c.H)
-	}
-	// Volume averaging: coarse totals = fine totals / 8 (8x fewer cells,
-	// same per-cell average).
-	fine, coarse := s.Totals(), c.Totals()
-	for q := range fine {
-		if math.Abs(coarse[q]-fine[q]/8) > 1e-12*math.Max(1, math.Abs(fine[q])) {
-			t.Fatalf("component %d not conserved under coarsening: %v vs %v/8", q, coarse[q], fine[q])
-		}
-	}
-}
-
-func TestCoarsenProlongRoundTrip(t *testing.T) {
-	s, _ := NewSolver(8, 8, 8)
-	s.AddPressurePulse(0.1)
-	c, err := s.Coarsen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, _ := NewSolver(8, 8, 8)
-	if err := f2.ProlongFrom(c); err != nil {
-		t.Fatal(err)
-	}
-	// Prolongation of the coarsening preserves totals exactly.
-	a, b := s.Totals(), f2.Totals()
-	for q := range a {
-		if math.Abs(a[q]-b[q]) > 1e-12*math.Max(1, math.Abs(a[q])) {
-			t.Fatalf("component %d drifted through restrict/prolong: %v vs %v", q, a[q], b[q])
-		}
-	}
-}
-
-func TestMultigridValidation(t *testing.T) {
-	s, _ := NewSolver(7, 8, 8)
-	if _, err := s.Coarsen(); err == nil {
-		t.Error("odd mesh coarsened")
-	}
-	s8, _ := NewSolver(8, 8, 8)
-	c, _ := NewSolver(3, 4, 4)
-	if err := s8.ProlongFrom(c); err == nil {
-		t.Error("mismatched prolongation accepted")
-	}
-}
-
-// The headline property: FMG reaches the steady tolerance in fewer fine
-// steps than a cold fine-mesh start.
-func TestFMGAcceleratesSteadyState(t *testing.T) {
-	mk := func() *Solver {
-		s, _ := NewSolver(16, 16, 16)
-		s.AddPressurePulse(0.15)
-		return s
-	}
-	cold := mk()
-	tol := cold.ResidualNorm(nil) / 20
-	coldSteps, coldRes := cold.SolveSteady(tol, 4000, nil)
-	if coldRes > tol {
-		t.Fatalf("cold solve did not converge (res %v, tol %v)", coldRes, tol)
-	}
-	fmg := mk()
-	fineSteps, coarseSteps, res, err := fmg.FMGSolveSteady(tol, 4000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res > tol {
-		t.Fatalf("FMG did not converge (res %v)", res)
-	}
-	// Coarse steps cost 1/8 of fine steps; count them at that weight.
-	fmgCost := float64(fineSteps) + float64(coarseSteps)/8
-	if fmgCost >= float64(coldSteps) {
-		t.Fatalf("FMG cost %.1f fine-equivalents >= cold %d steps (fine %d, coarse %d)",
-			fmgCost, coldSteps, fineSteps, coarseSteps)
 	}
 }

@@ -37,7 +37,6 @@ type RackConfig struct {
 	Nodes     int
 	HostCombo Combo
 	PhiCombo  Combo
-	Software  pcie.Software
 	// Faults, when non-nil, prices the step on the degraded machine.
 	// Faulted worlds refuse the replay and run the goroutine engine, so
 	// keep the node count modest.
@@ -116,7 +115,7 @@ func RackStepTime(m core.Model, node *machine.Node, cfg RackConfig, opts ...simm
 		Fabric: machine.NewRackFabric(cfg.Nodes),
 	}
 	if cfg.PhiCombo.Ranks > 0 {
-		wcfg.Stack = pcie.NewStack(cfg.Software)
+		wcfg.Stack = pcie.NewStack(pcie.PreUpdate)
 	}
 	return simmpi.SeqTime(wcfg, steps, 1, append([]simmpi.Option{simmpi.WithFaultPlan(cfg.Faults)}, opts...)...)
 }

@@ -207,14 +207,6 @@ func (s *Solver) Norm() float64 {
 	return math.Sqrt(sum / float64(count))
 }
 
-// StepDelta runs one step and reports how much the solution moved —
-// a decreasing sequence as the chain approaches steady state.
-func (s *Solver) StepDelta(team *simomp.Team) float64 {
-	before := s.Norm()
-	s.Step(team)
-	return math.Abs(s.Norm() - before)
-}
-
 // RunMPI executes the solver as a real MPI program: `ranks` simmpi ranks
 // own contiguous spans of zones and exchange interface planes as
 // messages. It returns the per-zone interior sums (a fingerprint that

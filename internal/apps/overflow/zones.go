@@ -168,21 +168,3 @@ func Load(pieces []Piece) int64 {
 	}
 	return t
 }
-
-// Imbalance returns max(load/speed) / mean(load/speed) over ranks — 1.0
-// is perfect balance.
-func Imbalance(assignment [][]Piece, speeds []float64) float64 {
-	maxT, sumT := 0.0, 0.0
-	for i, pieces := range assignment {
-		t := float64(Load(pieces)) / speeds[i]
-		sumT += t
-		if t > maxT {
-			maxT = t
-		}
-	}
-	mean := sumT / float64(len(assignment))
-	if mean == 0 {
-		return 1
-	}
-	return maxT / mean
-}

@@ -10,7 +10,7 @@ import (
 // The execution model prices a characterized workload on any partition.
 // A bandwidth-bound streaming kernel (MG's character) is the one case
 // where the Phi beats the host.
-func ExampleModel_Gflops() {
+func ExampleModel_Time() {
 	m := core.DefaultModel()
 	node := machine.NewNode()
 	w := core.Workload{
@@ -22,8 +22,8 @@ func ExampleModel_Gflops() {
 		Reuse:            0.1,
 		ParallelFraction: 0.999,
 	}
-	host := m.Gflops(w, machine.HostPartition(node, 1))
-	phi := m.Gflops(w, machine.PhiThreadsPartition(node, machine.Phi0, 177))
-	fmt.Println(phi > host)
+	host := m.Time(w, machine.HostPartition(node, 1))
+	phi := m.Time(w, machine.PhiThreadsPartition(node, machine.Phi0, 177))
+	fmt.Println(phi < host)
 	// Output: true
 }

@@ -238,13 +238,3 @@ func (m Model) phaseTime(w Workload, part machine.Partition) vclock.Time {
 	}
 	return vclock.Time(hi + 0.25*lo)
 }
-
-// Gflops returns the workload's achieved Gflop/s on the partition — the
-// unit most of the paper's NPB figures report.
-func (m Model) Gflops(w Workload, part machine.Partition) float64 {
-	t := m.Time(w, part)
-	if t <= 0 {
-		return 0
-	}
-	return w.Flops / t.Seconds() / 1e9
-}

@@ -15,6 +15,12 @@ func mgLike() Workload {
 		VecFraction: 0.9, Stride: Unit, Reuse: 0.1, ParallelFraction: 0.999}
 }
 
+// gflops is the workload's achieved Gflop/s on the partition, the unit
+// most of the paper's NPB figures report.
+func gflops(m Model, w Workload, p machine.Partition) float64 {
+	return w.Flops / m.Time(w, p).Seconds() / 1e9
+}
+
 func btLike() Workload {
 	return Workload{Name: "bt-like", Flops: 1.5e12, Bytes: 1e12,
 		VecFraction: 0.9, Stride: Unit, Reuse: 0.75, ParallelFraction: 0.999}
@@ -37,8 +43,8 @@ func phiT(threads int) machine.Partition {
 // the one that runs FASTER on the Phi than on the host.
 func TestStreamingKernelWinsOnPhi(t *testing.T) {
 	m := DefaultModel()
-	host := m.Gflops(mgLike(), host16())
-	phi := m.Gflops(mgLike(), phiT(177))
+	host := gflops(m, mgLike(), host16())
+	phi := gflops(m, mgLike(), phiT(177))
 	ratio := phi / host
 	if ratio < 1.05 || ratio > 1.6 {
 		t.Errorf("phi/host for streaming kernel = %.2f (phi %.1f, host %.1f GF), want ~1.27",
@@ -49,11 +55,11 @@ func TestStreamingKernelWinsOnPhi(t *testing.T) {
 // Cache-heavy and sparse kernels lose on the Phi, sparse losing hardest.
 func TestCacheAndSparseKernelsLoseOnPhi(t *testing.T) {
 	m := DefaultModel()
-	btRatio := m.Gflops(btLike(), host16()) / m.Gflops(btLike(), phiT(177))
+	btRatio := gflops(m, btLike(), host16()) / gflops(m, btLike(), phiT(177))
 	if btRatio < 1.2 || btRatio > 3 {
 		t.Errorf("host/phi for blocked kernel = %.2f, want ~1.5-2", btRatio)
 	}
-	cgRatio := m.Gflops(cgLike(), host16()) / m.Gflops(cgLike(), phiT(236))
+	cgRatio := gflops(m, cgLike(), host16()) / gflops(m, cgLike(), phiT(236))
 	if cgRatio < btRatio {
 		t.Errorf("sparse kernel (%.2f) should lose harder than blocked (%.2f)", cgRatio, btRatio)
 	}
@@ -66,7 +72,7 @@ func TestPhiThreadSweepUnitStride(t *testing.T) {
 	m := DefaultModel()
 	g := map[int]float64{}
 	for _, th := range []int{59, 118, 177, 236} {
-		g[th] = m.Gflops(mgLike(), phiT(th))
+		g[th] = gflops(m, mgLike(), phiT(th))
 	}
 	if !(g[59] < g[118] && g[118] < g[177]) {
 		t.Errorf("want monotone rise to 177: %v", g)
@@ -83,8 +89,8 @@ func TestPhiThreadSweepUnitStride(t *testing.T) {
 // the paper's Cart3D finding.
 func TestPhiThreadSweepGather(t *testing.T) {
 	m := DefaultModel()
-	g177 := m.Gflops(cgLike(), phiT(177))
-	g236 := m.Gflops(cgLike(), phiT(236))
+	g177 := gflops(m, cgLike(), phiT(177))
+	g236 := gflops(m, cgLike(), phiT(236))
 	if g236 <= g177 {
 		t.Errorf("gather kernel: 236t (%.2f) should beat 177t (%.2f)", g236, g177)
 	}
@@ -93,8 +99,8 @@ func TestPhiThreadSweepGather(t *testing.T) {
 // Figure 24's placement effect: touching the 60th (OS) core hurts.
 func TestOSCorePenalty(t *testing.T) {
 	m := DefaultModel()
-	clean := m.Gflops(mgLike(), phiT(177))
-	dirty := m.Gflops(mgLike(), phiT(180))
+	clean := gflops(m, mgLike(), phiT(177))
+	dirty := gflops(m, mgLike(), phiT(180))
 	if dirty >= clean {
 		t.Errorf("180 threads (%.1f GF) must trail 177 (%.1f GF)", dirty, clean)
 	}
@@ -107,8 +113,8 @@ func TestOSCorePenalty(t *testing.T) {
 func TestHostHyperThreadingHurts(t *testing.T) {
 	m := DefaultModel()
 	ht := machine.HostPartition(machine.NewNode(), 2)
-	g16 := m.Gflops(btLike(), host16())
-	g32 := m.Gflops(btLike(), ht)
+	g16 := gflops(m, btLike(), host16())
+	g32 := gflops(m, btLike(), ht)
 	if g32 >= g16 {
 		t.Errorf("HT (%.1f) should not beat 16 threads (%.1f)", g32, g16)
 	}
@@ -123,7 +129,7 @@ func TestHostHyperThreadingHurts(t *testing.T) {
 func TestCacheCaptureAblation(t *testing.T) {
 	m := DefaultModel()
 	m.CacheCapture = false
-	ratio := m.Gflops(btLike(), phiT(177)) / m.Gflops(btLike(), host16())
+	ratio := gflops(m, btLike(), phiT(177)) / gflops(m, btLike(), host16())
 	if ratio <= 1 {
 		t.Errorf("without cache capture the Phi should win the blocked kernel, got phi/host %.2f", ratio)
 	}
@@ -136,8 +142,8 @@ func TestThreadLatencyHidingAblation(t *testing.T) {
 	m.ThreadLatencyHiding = false
 	pure := Workload{Name: "compute", Flops: 1e12, VecFraction: 0.9,
 		Stride: Unit, ParallelFraction: 1}
-	g1 := m.Gflops(pure, phiT(59))
-	g3 := m.Gflops(pure, phiT(177))
+	g1 := gflops(m, pure, phiT(59))
+	g3 := gflops(m, pure, phiT(177))
 	if g3/g1 > 1.05 {
 		t.Errorf("ablated model should not reward extra threads for pure compute: %.2f vs %.2f", g3, g1)
 	}
@@ -186,12 +192,6 @@ func TestTimePanicsOnInvalid(t *testing.T) {
 
 func TestWorkloadHelpers(t *testing.T) {
 	w := Workload{Flops: 100, Bytes: 50}
-	if w.OperationalIntensity() != 2 {
-		t.Errorf("OI = %v", w.OperationalIntensity())
-	}
-	if (Workload{}).OperationalIntensity() != 0 {
-		t.Error("OI of empty workload must be 0")
-	}
 	s := w.Scale(3)
 	if s.Flops != 300 || s.Bytes != 150 || w.Flops != 100 {
 		t.Error("Scale wrong or mutated receiver")
@@ -201,21 +201,10 @@ func TestWorkloadHelpers(t *testing.T) {
 	}
 }
 
-func TestGflopsConsistentWithTime(t *testing.T) {
-	m := DefaultModel()
-	w := mgLike()
-	p := host16()
-	g := m.Gflops(w, p)
-	tt := m.Time(w, p)
-	if diff := g - w.Flops/tt.Seconds()/1e9; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("Gflops inconsistent with Time: %v", diff)
-	}
-}
-
 // Absolute scale sanity: the MG-like workload lands in the tens of
 // Gflop/s on the host, like the paper's 23.5 (Figure 25).
 func TestAbsoluteScale(t *testing.T) {
-	g := DefaultModel().Gflops(mgLike(), host16())
+	g := gflops(DefaultModel(), mgLike(), host16())
 	if g < 15 || g > 45 {
 		t.Errorf("host streaming kernel = %.1f GF, want tens of Gflop/s", g)
 	}

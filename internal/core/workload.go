@@ -88,15 +88,6 @@ func (w Workload) Validate() error {
 	return nil
 }
 
-// OperationalIntensity returns flops per byte of memory traffic (the
-// roofline x-axis). Workloads with zero traffic are pure compute.
-func (w Workload) OperationalIntensity() float64 {
-	if w.Bytes == 0 {
-		return 0
-	}
-	return w.Flops / w.Bytes
-}
-
 // Scale returns a copy with flops and bytes multiplied by f — convenient
 // for expressing per-iteration profiles.
 func (w Workload) Scale(f float64) Workload {

@@ -24,25 +24,9 @@ func PCIeGen2x16() LinkSpec {
 	return LinkSpec{Name: "PCIe 2.0 x16", RawGTs: 5.0, PeakGBs: 8.0, Lanes: 16}
 }
 
-// PCIeGen3x40 returns the host processor's integrated PCIe 3.0 complex
-// (40 lanes at 8 GT/s).
-func PCIeGen3x40() LinkSpec {
-	return LinkSpec{Name: "PCIe 3.0 x40", RawGTs: 8.0, PeakGBs: 40.0, Lanes: 40}
-}
-
 // FDRInfiniBand returns the inter-node fabric: 4x FDR InfiniBand,
 // 56 Gbit/s per port (the paper quotes 56 GB/s peak network performance
 // for the hypercube fabric as a whole).
 func FDRInfiniBand() LinkSpec {
 	return LinkSpec{Name: "4x FDR InfiniBand", RawGTs: 14.0625, PeakGBs: 7.0, Lanes: 4}
-}
-
-// CoreRing returns the Phi's bi-directional ring interconnect that joins
-// cores, distributed tag directories, and the eight GDDR5 memory
-// controllers.
-func CoreRing() LinkSpec {
-	// 512-bit data ring at core clock, one direction; the effective
-	// number matters only through MemSustainedGBs, but the ring is modeled
-	// so per-hop costs can be charged for coherence traffic.
-	return LinkSpec{Name: "Core Ring Interface", RawGTs: 1.05, PeakGBs: 67.2, Lanes: 2}
 }

@@ -77,14 +77,6 @@ func (n *Node) Clone() *Node {
 	return &c
 }
 
-// Proc returns the processor spec backing device d.
-func (n *Node) Proc(d Device) ProcessorSpec {
-	if d.IsPhi() {
-		return n.PhiProc
-	}
-	return n.HostProc
-}
-
 // HostCores returns the total host core count (both sockets).
 func (n *Node) HostCores() int { return n.HostProc.Cores * n.Sockets }
 
@@ -95,11 +87,6 @@ func (n *Node) HostPeakGflops() float64 {
 
 // PhiPeakGflops returns the peak of one coprocessor.
 func (n *Node) PhiPeakGflops() float64 { return n.PhiProc.PeakGflops() }
-
-// NodePeakGflops returns the total peak of the node.
-func (n *Node) NodePeakGflops() float64 {
-	return n.HostPeakGflops() + float64(n.Phis)*n.PhiPeakGflops()
-}
 
 // MemGB returns the total memory of the node (host + both Phis).
 func (n *Node) MemGB() int {

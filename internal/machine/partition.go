@@ -100,11 +100,6 @@ func clampThreads(t int, p ProcessorSpec) int {
 // Threads returns the total thread count of the partition.
 func (p Partition) Threads() int { return p.Cores * p.ThreadsPerCore }
 
-// PeakGflops returns the peak double-precision rate of the partition.
-func (p Partition) PeakGflops() float64 {
-	return float64(p.Cores) * p.Proc.PeakGflopsPerCore()
-}
-
 // String implements fmt.Stringer, e.g. "Phi0[59c x 3t]".
 func (p Partition) String() string {
 	return fmt.Sprintf("%v[%dc x %dt]", p.Device, p.Cores, p.ThreadsPerCore)

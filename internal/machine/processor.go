@@ -112,33 +112,6 @@ func (p ProcessorSpec) MaxThreads() int { return p.Cores * p.ThreadsPerCore }
 // threads far outperform 60/120/180/240.
 func (p ProcessorSpec) UsableCores() int { return p.Cores - p.OSReservedCores }
 
-// CacheBytesPerCore returns the total cache capacity one core can call its
-// own: private levels in full, shared levels divided by core count. The
-// paper quotes 544 KB for the Phi vs 2.788 MB ("2788 KB") for the host, a
-// factor of 5.1.
-func (p ProcessorSpec) CacheBytesPerCore() int {
-	total := 0
-	for _, c := range p.Caches {
-		if c.Shared {
-			total += c.SizeBytes / p.Cores
-		} else {
-			total += c.SizeBytes
-		}
-	}
-	return total
-}
-
-// Level returns the cache level with the given name and true, or a zero
-// CacheLevel and false if the processor has no such level.
-func (p ProcessorSpec) Level(name string) (CacheLevel, bool) {
-	for _, c := range p.Caches {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return CacheLevel{}, false
-}
-
 // SandyBridge returns the model of one Intel Xeon E5-2670 socket as
 // deployed in Maia (Table 1; Figure 2; Section 6.2 measurements).
 func SandyBridge() ProcessorSpec {

@@ -51,10 +51,3 @@ func (g *Group) Do(key string, fn func() (Entry, error)) (Entry, bool, error) {
 	g.mu.Unlock()
 	return c.val, false, c.err
 }
-
-// InFlight reports how many distinct keys are currently executing.
-func (g *Group) InFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
-}

@@ -65,8 +65,8 @@ func TestGroupCoalesces(t *testing.T) {
 	if leaders != 1 {
 		t.Errorf("%d leaders, want 1", leaders)
 	}
-	if g.InFlight() != 0 {
-		t.Errorf("%d keys still in flight after completion", g.InFlight())
+	if len(g.m) != 0 {
+		t.Errorf("%d keys still in flight after completion", len(g.m))
 	}
 }
 

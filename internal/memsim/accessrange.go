@@ -18,15 +18,6 @@ type RangeStats struct {
 	Latency     vclock.Time
 }
 
-// Accesses returns the total access count tallied in s.
-func (s RangeStats) Accesses() uint64 {
-	var n uint64
-	for _, c := range s.LevelCounts {
-		n += c
-	}
-	return n
-}
-
 // AccessRange performs n accesses at addr, addr+stride, addr+2*stride, ...
 // and returns the aggregate level counts and latency. It is exactly
 // equivalent to calling Access on each address in order — same hit/miss

@@ -70,14 +70,8 @@ func (c *Cache) allocSets() {
 	}
 }
 
-// Name returns the level name ("L1", "L2", ...).
-func (c *Cache) Name() string { return c.name }
-
 // Latency returns the hit latency of this level.
 func (c *Cache) Latency() vclock.Time { return c.latency }
-
-// SizeBytes returns the capacity.
-func (c *Cache) SizeBytes() int { return c.sets * c.assoc * c.lineBytes }
 
 // line maps a byte address to its line number.
 func (c *Cache) line(addr uint64) uint64 { return addr / uint64(c.lineBytes) }
@@ -246,7 +240,7 @@ func (h *Hierarchy) Access(addr uint64) (level int, lat vclock.Time) {
 // LevelName returns a printable name for a level index returned by Access.
 func (h *Hierarchy) LevelName(level int) string {
 	if level >= 0 && level < len(h.levels) {
-		return h.levels[level].Name()
+		return h.levels[level].name
 	}
 	return "MEM"
 }

@@ -217,7 +217,7 @@ func TestPhiHierarchyLevels(t *testing.T) {
 	if len(h.Levels()) != 2 {
 		t.Fatalf("Phi hierarchy has %d levels, want 2", len(h.Levels()))
 	}
-	if h.Levels()[1].SizeBytes() != 512<<10 {
-		t.Fatalf("Phi L2 size = %d", h.Levels()[1].SizeBytes())
+	if l2 := h.Levels()[1]; l2.sets*l2.assoc*l2.lineBytes != 512<<10 {
+		t.Fatalf("Phi L2 size = %d", l2.sets*l2.assoc*l2.lineBytes)
 	}
 }

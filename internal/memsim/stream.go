@@ -125,34 +125,3 @@ func Triad(a, b, c []float64, scalar float64) error {
 	}
 	return nil
 }
-
-// Copy runs the STREAM copy kernel a[i] = b[i].
-func Copy(a, b []float64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("memsim: copy length mismatch (%d/%d)", len(a), len(b))
-	}
-	copy(a, b)
-	return nil
-}
-
-// Add runs the STREAM add kernel a[i] = b[i] + c[i].
-func Add(a, b, c []float64) error {
-	if len(a) != len(b) || len(a) != len(c) {
-		return fmt.Errorf("memsim: add length mismatch (%d/%d/%d)", len(a), len(b), len(c))
-	}
-	for i := range a {
-		a[i] = b[i] + c[i]
-	}
-	return nil
-}
-
-// Scale runs the STREAM scale kernel a[i] = scalar*b[i].
-func Scale(a, b []float64, scalar float64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("memsim: scale length mismatch (%d/%d)", len(a), len(b))
-	}
-	for i := range a {
-		a[i] = scalar * b[i]
-	}
-	return nil
-}

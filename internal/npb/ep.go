@@ -29,15 +29,6 @@ type EPResult struct {
 	Pairs    int64     // pairs generated
 }
 
-// Gaussians returns the total number of Gaussian deviates produced.
-func (r EPResult) Gaussians() int64 {
-	var n int64
-	for _, c := range r.Counts {
-		n += c
-	}
-	return n
-}
-
 // epBatch processes batch j (of 2^epBatchLog2 pairs) and accumulates into
 // res. Each batch seeks the generator to its own offset, exactly like the
 // reference implementation, so results are independent of the batch
@@ -66,23 +57,6 @@ func epBatch(j int64, res *EPResult) {
 	res.Pairs += nk
 }
 
-// RunEPSerial runs EP over `pairs` random pairs on one thread.
-func RunEPSerial(pairs int64) (EPResult, error) {
-	if err := epCheck(pairs); err != nil {
-		return EPResult{}, err
-	}
-	// Accumulate per batch and combine in batch order — the same
-	// association as the parallel path, so both are bit-identical.
-	batches := int(pairs >> epBatchLog2)
-	var res EPResult
-	for j := 0; j < batches; j++ {
-		var p EPResult
-		epBatch(int64(j), &p)
-		res = combineEP(res, p)
-	}
-	return res, nil
-}
-
 // combineEP merges two partial results.
 func combineEP(a, b EPResult) EPResult {
 	a.Sx += b.Sx
@@ -95,18 +69,23 @@ func combineEP(a, b EPResult) EPResult {
 	return a
 }
 
-// RunEP runs EP with the batches work-shared across a simomp team. The
-// result is combined in deterministic batch order, so it is bit-identical
-// to the serial run.
+// RunEP runs EP over `pairs` random pairs with the batches work-shared
+// across a simomp team; team == nil runs serially. The result is combined
+// in deterministic batch order, so it does not depend on the team.
 func RunEP(pairs int64, team *simomp.Team) (EPResult, error) {
 	if err := epCheck(pairs); err != nil {
 		return EPResult{}, err
 	}
 	batches := int(pairs >> epBatchLog2)
 	partial := make([]EPResult, batches)
-	team.ParallelFor(batches, simomp.ForOpts{Sched: simomp.Static}, func(j int) {
-		epBatch(int64(j), &partial[j])
-	})
+	batch := func(j int) { epBatch(int64(j), &partial[j]) }
+	if team == nil {
+		for j := range partial {
+			batch(j)
+		}
+	} else {
+		team.ParallelFor(batches, simomp.ForOpts{Sched: simomp.Static}, batch)
+	}
 	var res EPResult
 	for _, p := range partial {
 		res = combineEP(res, p)

@@ -58,18 +58,6 @@ func (f *Field5) Clone() *Field5 {
 	return g
 }
 
-// MaxDiff returns the max absolute elementwise difference between two
-// fields of the same size.
-func (f *Field5) MaxDiff(g *Field5) float64 {
-	m := 0.0
-	for i := range f.V {
-		if d := math.Abs(f.V[i] - g.V[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // couplingMatrix is the fixed 5x5 inter-component coupling used by all
 // three pseudo-applications: a stand-in for the Navier-Stokes flux
 // Jacobian structure (nonsymmetric, zero row sums are NOT required, but

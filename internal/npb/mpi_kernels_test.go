@@ -246,7 +246,7 @@ func TestBTMPIMatchesSerial(t *testing.T) {
 // EP-MPI: exact counts, sums to reduction rounding.
 func TestEPMPIMatchesSerial(t *testing.T) {
 	const pairs = 1 << 20
-	ser, err := RunEPSerial(pairs)
+	ser, err := RunEP(pairs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

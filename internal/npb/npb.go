@@ -37,7 +37,6 @@ const (
 	BT                  // block-tridiagonal ADI solver (5x5 blocks)
 	LU                  // SSOR solver with wavefront dependencies
 	SP                  // scalar-pentadiagonal ADI solver
-	numBenchmarks
 )
 
 // String implements fmt.Stringer.
@@ -64,11 +63,6 @@ func (b Benchmark) String() string {
 	}
 }
 
-// Benchmarks lists the full suite.
-func Benchmarks() []Benchmark {
-	return []Benchmark{EP, CG, MG, FT, IS, BT, LU, SP}
-}
-
 // Fig19Benchmarks lists the six benchmarks shown in the paper's OpenMP
 // figure (Figure 19).
 func Fig19Benchmarks() []Benchmark {
@@ -90,9 +84,6 @@ const (
 
 // String implements fmt.Stringer.
 func (c Class) String() string { return string(c) }
-
-// Classes lists all supported classes in size order.
-func Classes() []Class { return []Class{ClassS, ClassW, ClassA, ClassB, ClassC} }
 
 // Size describes one benchmark instance.
 type Size struct {

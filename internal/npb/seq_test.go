@@ -18,7 +18,7 @@ func TestIterationReplayMatchesGoroutine(t *testing.T) {
 	noFast := os.Getenv("MAIA_NO_FASTPATH") != ""
 	rankSets := []int{2, 4, 9, 16, 25, 64}
 	classes := []Class{ClassS, ClassA}
-	for _, b := range Benchmarks() {
+	for _, b := range allBenchmarks {
 		for _, c := range classes {
 			s, err := SizeOf(b, c)
 			if err != nil {

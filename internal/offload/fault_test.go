@@ -107,8 +107,8 @@ func TestOffloadFailedPhiFallsBackToHost(t *testing.T) {
 	if r.Retries == 0 {
 		t.Fatal("dead-device detection charged no probe retries")
 	}
-	if r.Total() != first+second {
-		t.Fatalf("ledger total %v != observed %v", r.Total(), first+second)
+	if total := r.Overhead() + r.KernelTime + r.FallbackTime; total != first+second {
+		t.Fatalf("ledger total %v != observed %v", total, first+second)
 	}
 
 	var probes, fallbackKernels int

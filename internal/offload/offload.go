@@ -82,10 +82,6 @@ func (r Report) Overhead() vclock.Time {
 	return r.HostTime + r.TransferTime + r.PhiTime
 }
 
-// Total returns overhead plus kernel time (host-fallback kernels
-// included).
-func (r Report) Total() vclock.Time { return r.Overhead() + r.KernelTime + r.FallbackTime }
-
 // String summarizes the ledger in an OFFLOAD_REPORT-like line.
 func (r Report) String() string {
 	return fmt.Sprintf("offloads=%d in=%dB out=%dB host=%v pcie=%v phi=%v kernel=%v",
@@ -216,9 +212,6 @@ func (e *Engine) traceCounts(inBytes, outBytes int64) {
 
 // Report returns the cumulative ledger.
 func (e *Engine) Report() Report { return e.report }
-
-// ResetReport clears the ledger between experiments.
-func (e *Engine) ResetReport() { e.report = Report{} }
 
 // Offload executes one offloaded region: inBytes are shipped to the Phi,
 // kernelTime of work runs there, outBytes come back. body, when non-nil,

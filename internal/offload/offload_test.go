@@ -20,8 +20,8 @@ func TestOffloadAccounting(t *testing.T) {
 	if r.KernelTime != 5*vclock.Millisecond {
 		t.Fatalf("kernel time %v", r.KernelTime)
 	}
-	if got := r.Total(); got != total {
-		t.Fatalf("Total() = %v, invocation returned %v", got, total)
+	if got := r.Overhead() + r.KernelTime + r.FallbackTime; got != total {
+		t.Fatalf("ledger total %v, invocation returned %v", got, total)
 	}
 	if r.Overhead() != r.HostTime+r.TransferTime+r.PhiTime {
 		t.Fatal("Overhead decomposition inconsistent")
@@ -85,17 +85,6 @@ func TestGranularityTradeoff(t *testing.T) {
 	}
 	if fine.Report().BytesIn != coarse.Report().BytesIn {
 		t.Fatal("test moved different data volumes")
-	}
-}
-
-func TestResetReport(t *testing.T) {
-	e := NewEngine(DefaultConfig())
-	if _, err := e.Offload(100, 100, vclock.Microsecond, nil); err != nil {
-		t.Fatal(err)
-	}
-	e.ResetReport()
-	if e.Report() != (Report{}) {
-		t.Fatalf("ResetReport left %+v", e.Report())
 	}
 }
 

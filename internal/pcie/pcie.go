@@ -23,8 +23,6 @@ package pcie
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"maia/internal/vclock"
 )
@@ -118,29 +116,6 @@ func DefaultDAPLConfig() DAPLConfig {
 	}
 }
 
-// ParseDAPLThresholds parses an I_MPI_DAPL_DIRECT_COPY_THRESHOLD value
-// ("8192,262144") into a DAPLConfig with the default provider list.
-func ParseDAPLThresholds(s string) (DAPLConfig, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return DAPLConfig{}, fmt.Errorf("pcie: want two comma-separated thresholds, got %q", s)
-	}
-	eager, err := strconv.Atoi(strings.TrimSpace(parts[0]))
-	if err != nil {
-		return DAPLConfig{}, fmt.Errorf("pcie: bad eager threshold: %w", err)
-	}
-	sw, err := strconv.Atoi(strings.TrimSpace(parts[1]))
-	if err != nil {
-		return DAPLConfig{}, fmt.Errorf("pcie: bad provider-switch threshold: %w", err)
-	}
-	if eager < 0 || sw < eager {
-		return DAPLConfig{}, fmt.Errorf("pcie: thresholds out of order: %q", s)
-	}
-	cfg := DefaultDAPLConfig()
-	cfg.EagerMaxBytes, cfg.ProviderSwitchBytes = eager, sw
-	return cfg, nil
-}
-
 // Software selects the software environment of Section 5.
 type Software int
 
@@ -216,9 +191,6 @@ func NewStack(sw Software) *Stack {
 	}
 	return s
 }
-
-// Software returns the stack's environment.
-func (s *Stack) Software() Software { return s.sw }
 
 // SetDAPLConfig overrides the provider/protocol thresholds (used by the
 // ablation benchmarks). It has no effect on a pre-update stack, which

@@ -139,21 +139,6 @@ func TestTransferTimeZeroBytes(t *testing.T) {
 	}
 }
 
-func TestParseDAPLThresholds(t *testing.T) {
-	cfg, err := ParseDAPLThresholds("8192,262144")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.EagerMaxBytes != 8192 || cfg.ProviderSwitchBytes != 262144 {
-		t.Fatalf("parsed %+v", cfg)
-	}
-	for _, bad := range []string{"", "8192", "a,b", "262144,8192", "8192,262144,5"} {
-		if _, err := ParseDAPLThresholds(bad); err == nil {
-			t.Errorf("ParseDAPLThresholds(%q) accepted", bad)
-		}
-	}
-}
-
 func TestSetDAPLConfigAblation(t *testing.T) {
 	// Ablation: disabling the SCIF switch (threshold = infinity) must
 	// erase the large-message gain.

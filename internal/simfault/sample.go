@@ -3,7 +3,6 @@ package simfault
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"maia/internal/vclock"
 )
@@ -15,15 +14,12 @@ import (
 // simulation makes byte-identical decisions no matter how its pricing
 // or experiment runs are parallelized.
 
-// The stream tags reserved by this file. Callers deriving their own
-// streams with EventSeed should stay clear of the 100..199 band in the
-// second coordinate.
-const (
-	streamCondition = 101 // SamplePlan's condition draw
-	streamPlanSeed  = 102 // SamplePlan's per-node plan re-seed
-)
+// streamCondition is the stream tag of SampleCondition's draw. This file
+// reserves the 100..199 band in EventSeed's second coordinate; callers
+// deriving their own streams should stay clear of it.
+const streamCondition = 101
 
-// conditionWeights is the fleet condition distribution SamplePlan draws
+// conditionWeights is the fleet condition distribution SampleCondition draws
 // from, in per-mille: most nodes are healthy, the rest carry one of the
 // single-cause catalog plans (the combined "degraded" plan is a
 // worst-day scenario, not a steady-state population member).
@@ -38,7 +34,7 @@ var conditionWeights = []struct {
 	{"phi0-down", 80},
 }
 
-// SampleConditions returns the degraded condition names SamplePlan can
+// SampleConditions returns the degraded condition names SampleCondition can
 // draw, sorted. "degraded" (the everything-at-once plan) is excluded by
 // design.
 func SampleConditions() []string {
@@ -64,23 +60,9 @@ func EventSeed(seed uint64, a, b, c int) uint64 {
 	return s
 }
 
-// sampleCatalog memoizes the plan catalog SamplePlan draws from: the
-// catalog is immutable configuration, SamplePlan copies a plan before
-// reseeding it, and nothing writes through the shared fault slices — so
-// sampling a 512-node fleet stops rebuilding the five-plan catalog (and
-// re-sorting it) once per node.
-var sampleCatalog = sync.OnceValue(func() map[string]*Plan {
-	byName := make(map[string]*Plan)
-	for _, p := range Plans() {
-		byName[p.Name] = p
-	}
-	return byName
-})
-
-// SampleCondition returns just the condition name SamplePlan would draw
-// for (seed, node) — "" for a healthy node — without building the plan.
-// Callers that key behavior on the name alone (the fleet's price-table
-// lookups) avoid the per-node plan copy.
+// SampleCondition draws the condition node `node` carries in the fleet
+// rooted at seed: "" for a healthy node, otherwise the name of a
+// catalog plan. The draw is a pure function of (seed, node).
 func SampleCondition(seed uint64, node int) string {
 	pick := Intn(seed, node, streamCondition, 0, 1000)
 	for _, c := range conditionWeights {
@@ -90,24 +72,6 @@ func SampleCondition(seed uint64, node int) string {
 		pick -= c.weight
 	}
 	return ""
-}
-
-// SamplePlan draws the condition node `node` carries in the fleet rooted
-// at seed: nil for a healthy node, otherwise a catalog plan re-seeded
-// per node (so two straggling nodes still make independent drop and
-// retry decisions). The draw is a pure function of (seed, node).
-func SamplePlan(seed uint64, node int) *Plan {
-	name := SampleCondition(seed, node)
-	if name == "" {
-		return nil
-	}
-	plan := sampleCatalog()[name]
-	if plan == nil {
-		return nil // unreachable: the weight table names catalog plans
-	}
-	reseeded := *plan
-	reseeded.Seed = EventSeed(seed, node, streamPlanSeed, 0)
-	return &reseeded
 }
 
 // Uniform returns a deterministic draw in [0, 1) for the event identity

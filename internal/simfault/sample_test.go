@@ -2,50 +2,21 @@ package simfault
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"maia/internal/vclock"
 )
 
-// TestSamplePlanDeterministic pins the purity contract: equal
-// (seed, node) pairs draw identical plans, distinct nodes draw
-// independently, and drawn plans are re-seeded catalog members.
-func TestSamplePlanDeterministic(t *testing.T) {
-	for node := 0; node < 64; node++ {
-		a := SamplePlan(7, node)
-		b := SamplePlan(7, node)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("node %d: repeated draws differ: %+v vs %+v", node, a, b)
-		}
-		if a == nil {
-			continue
-		}
-		catalog, err := ByName(a.Name)
-		if err != nil {
-			t.Fatalf("node %d drew non-catalog plan %q", node, a.Name)
-		}
-		if a.Seed == catalog.Seed {
-			t.Errorf("node %d: plan %q kept the catalog seed", node, a.Name)
-		}
-		reseeded := *catalog
-		reseeded.Seed = a.Seed
-		if !reflect.DeepEqual(*a, reseeded) {
-			t.Errorf("node %d: drawn plan differs from re-seeded catalog plan", node)
-		}
-	}
-}
-
-// TestSamplePlanDistribution checks the draw roughly follows the weight
-// table over a large fleet: mostly healthy, every degraded condition
-// represented.
-func TestSamplePlanDistribution(t *testing.T) {
+// TestSampleConditionDistribution checks the draw roughly follows the
+// weight table over a large fleet: mostly healthy, every degraded
+// condition represented.
+func TestSampleConditionDistribution(t *testing.T) {
 	const fleet = 2000
 	counts := map[string]int{}
 	for node := 0; node < fleet; node++ {
-		counts[SamplePlan(1, node).String()]++
+		counts[SampleCondition(1, node)]++
 	}
-	if h := counts["<none>"]; h < fleet/2 || h > fleet*7/10 {
+	if h := counts[""]; h < fleet/2 || h > fleet*7/10 {
 		t.Errorf("healthy fraction %d/%d outside [0.5, 0.7]", h, fleet)
 	}
 	for _, name := range SampleConditions() {

@@ -30,19 +30,19 @@ import (
 	"maia/internal/vclock"
 )
 
-// Default retry/backoff parameters, used when a FabricFault (or a
-// failover probe against a dead device) leaves them zero.
+// The retry schedule of every faulted fabric (and of a failover probe
+// against a dead device).
 const (
-	// DefaultTimeout is the virtual-time delivery deadline after which
+	// deliveryTimeout is the virtual-time delivery deadline after which
 	// a lost message is presumed dropped and retransmitted.
-	DefaultTimeout = 50 * vclock.Microsecond
-	// DefaultBackoff is the base retransmit backoff; it doubles on each
+	deliveryTimeout = 50 * vclock.Microsecond
+	// retryBackoff is the base retransmit backoff; it doubles on each
 	// further attempt (exponential backoff).
-	DefaultBackoff = 20 * vclock.Microsecond
-	// DefaultMaxRetries caps retransmissions per message. The transport
-	// is reliable at the cap: the final attempt always delivers, so a
-	// lossy fabric degrades a run but never wedges it.
-	DefaultMaxRetries = 4
+	retryBackoff = 20 * vclock.Microsecond
+	// maxRetries caps retransmissions per message. The transport is
+	// reliable at the cap: the final attempt always delivers, so a lossy
+	// fabric degrades a run but never wedges it.
+	maxRetries = 4
 )
 
 // Straggler slows every rank on one device by a constant factor — the
@@ -89,35 +89,6 @@ type FabricFault struct {
 	// DropProb is the per-attempt probability a delivery is lost and
 	// must be retried after a timeout. Clamped to [0, 1).
 	DropProb float64
-	// Timeout, Backoff, and MaxRetries tune the retry schedule; zero
-	// values select the package defaults.
-	Timeout    vclock.Time
-	Backoff    vclock.Time
-	MaxRetries int
-}
-
-// timeout returns the configured or default delivery deadline.
-func (f FabricFault) timeout() vclock.Time {
-	if f.Timeout > 0 {
-		return f.Timeout
-	}
-	return DefaultTimeout
-}
-
-// backoff returns the configured or default base backoff.
-func (f FabricFault) backoff() vclock.Time {
-	if f.Backoff > 0 {
-		return f.Backoff
-	}
-	return DefaultBackoff
-}
-
-// maxRetries returns the configured or default retransmission cap.
-func (f FabricFault) maxRetries() int {
-	if f.MaxRetries > 0 {
-		return f.MaxRetries
-	}
-	return DefaultMaxRetries
 }
 
 // FlightTime applies the fault's bandwidth derate and fixed delay to a
@@ -134,9 +105,9 @@ func (f FabricFault) FlightTime(flight vclock.Time) vclock.Time {
 // costs the delivery deadline plus an exponentially growing backoff.
 func (f FabricFault) RetryPenalty(attempts int) vclock.Time {
 	var p vclock.Time
-	backoff := f.backoff()
+	backoff := retryBackoff
 	for i := 1; i < attempts; i++ {
-		p += f.timeout() + backoff
+		p += deliveryTimeout + backoff
 		backoff *= 2
 	}
 	return p
@@ -146,12 +117,12 @@ func (f FabricFault) RetryPenalty(attempts int) vclock.Time {
 // discovering that the far end of the fabric is dead: the full retry
 // schedule runs with every attempt timing out.
 func (f FabricFault) DetectionPenalty() vclock.Time {
-	return f.RetryPenalty(f.maxRetries() + 1)
+	return f.RetryPenalty(maxRetries + 1)
 }
 
 // DetectionRetries returns how many retransmissions the detection
 // schedule makes before giving up on the far end.
-func (f FabricFault) DetectionRetries() int { return f.maxRetries() }
+func (f FabricFault) DetectionRetries() int { return maxRetries }
 
 // Failure marks a whole device failed from a virtual time onward (a
 // card dropping off the PCIe bus). Runtimes that can degrade gracefully
@@ -374,7 +345,7 @@ func (p *Plan) Attempts(f FabricFault, src, dst, seq int) int {
 	}
 	rng := vclock.NewRNG(p.eventSeed(src, dst, seq))
 	attempts := 1
-	for attempts <= f.maxRetries() && rng.Float64() < drop {
+	for attempts <= maxRetries && rng.Float64() < drop {
 		attempts++
 	}
 	return attempts

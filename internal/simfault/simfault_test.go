@@ -122,13 +122,13 @@ func TestThrottleAdditivity(t *testing.T) {
 // Attempts is a pure function of (seed, src, dst, seq): stable across
 // calls, bounded by the retry cap, and sensitive to each coordinate.
 func TestAttemptsDeterministic(t *testing.T) {
-	f := FabricFault{Fabric: "pcie:", DropProb: 0.4, MaxRetries: 6}
+	f := FabricFault{Fabric: "pcie:", DropProb: 0.4}
 	p := &Plan{Seed: 42, Fabrics: []FabricFault{f}}
 	counts := map[int]int{}
 	for seq := 0; seq < 2000; seq++ {
 		a := p.Attempts(f, 3, 7, seq)
-		if a < 1 || a > 7 {
-			t.Fatalf("attempts %d out of [1,7]", a)
+		if a < 1 || a > maxRetries+1 {
+			t.Fatalf("attempts %d out of [1,%d]", a, maxRetries+1)
 		}
 		if b := p.Attempts(f, 3, 7, seq); b != a {
 			t.Fatalf("attempts not stable: %d then %d", a, b)
@@ -154,11 +154,11 @@ func TestAttemptsDeterministic(t *testing.T) {
 }
 
 func TestRetryPenalty(t *testing.T) {
-	f := FabricFault{} // defaults
+	var f FabricFault
 	if got := f.RetryPenalty(1); got != 0 {
 		t.Fatalf("one attempt has penalty %v", got)
 	}
-	want := (DefaultTimeout + DefaultBackoff) + (DefaultTimeout + 2*DefaultBackoff)
+	want := (deliveryTimeout + retryBackoff) + (deliveryTimeout + 2*retryBackoff)
 	if got := f.RetryPenalty(3); got != want {
 		t.Fatalf("RetryPenalty(3) = %v, want %v", got, want)
 	}

@@ -52,7 +52,7 @@ const (
 	// DefaultProfile is the MTBF profile when a config leaves it "".
 	DefaultProfile = "steady"
 	// ConditionSampled asks Run to draw each node's condition with
-	// simfault.SamplePlan (the Config.Condition zero value).
+	// simfault.SampleCondition (the Config.Condition zero value).
 	ConditionSampled = ""
 	// ConditionHealthy pins every node healthy.
 	ConditionHealthy = "healthy"

@@ -1,15 +1,10 @@
 package simmpi
 
-import (
-	"fmt"
-
-	"maia/internal/simtrace"
-)
+import "fmt"
 
 // Reserved internal tags (user tags are non-negative).
 const (
-	tagBarrier = -2 - iota
-	tagBcast
+	tagBcast = -2 - iota
 	tagReduce
 	tagAllreduce
 	tagAllgatherRD
@@ -42,31 +37,6 @@ func OpMax(dst, src []float64) {
 		if src[i] > dst[i] {
 			dst[i] = src[i]
 		}
-	}
-}
-
-// OpMin keeps the element-wise minimum in dst.
-func OpMin(dst, src []float64) {
-	for i := range dst {
-		if src[i] < dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
-// Barrier synchronizes all ranks with the dissemination algorithm:
-// ceil(log2 n) rounds of zero-byte exchanges.
-func (r *Rank) barrierImpl() {
-	n := r.w.size
-	r.setAlgo("dissemination")
-	if n == 1 {
-		return
-	}
-	for step := 1; step < n; step <<= 1 {
-		dst := (r.id + step) % n
-		src := (r.id - step + n) % n
-		r.send(dst, tagBarrier, payload{})
-		r.recv(src, tagBarrier)
 	}
 }
 
@@ -344,29 +314,11 @@ func (r *Rank) AllreduceSum(x float64) float64 {
 // function, the way MPInside-style tools report. The byte-slice entry
 // points convert to and from payloads here and nowhere else.
 
-// Barrier synchronizes all ranks (dissemination algorithm).
-func (r *Rank) Barrier() {
-	r.collective("MPI_Barrier", 0, func() { r.barrierImpl() })
-	r.tracer.Count(simtrace.CatMPI, "barriers", 1)
-}
-
 // Bcast broadcasts root's buffer; see bcastImpl for algorithm selection.
 func (r *Rank) Bcast(root int, data []byte) []byte { return r.bcast(root, r.w.wrap(data)).bytes() }
 
 func (r *Rank) bcast(root int, data payload) (out payload) {
 	r.collective("MPI_Bcast", int64(data.n), func() { out = r.bcastImpl(root, data) })
-	return out
-}
-
-// Reduce combines every rank's vector onto root and returns the result
-// there (nil elsewhere). vec is not modified. A size-only world returns
-// a zeroed vector of the right length.
-func (r *Rank) Reduce(root int, vec []float64, op Op) (out []float64) {
-	r.collective("MPI_Reduce", int64(8*len(vec)), func() {
-		if res := r.reduceImpl(root, r.w.packF64(vec), op); r.id == root {
-			out = unpackF64(res)
-		}
-	})
 	return out
 }
 
@@ -403,11 +355,5 @@ func (r *Rank) alltoall(data payload, blockBytes int) (out payload) {
 // Gather collects every rank's block on root.
 func (r *Rank) Gather(root int, block []byte) (out []byte) {
 	r.collective("MPI_Gather", int64(len(block)), func() { out = r.gatherImpl(root, r.w.wrap(block)).bytes() })
-	return out
-}
-
-// Scatter distributes root's buffer as equal blocks.
-func (r *Rank) Scatter(root int, data []byte, blockBytes int) (out []byte) {
-	r.collective("MPI_Scatter", int64(blockBytes), func() { out = r.scatterImpl(root, r.w.wrap(data), blockBytes).bytes() })
 	return out
 }

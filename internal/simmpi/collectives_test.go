@@ -86,16 +86,18 @@ func TestBcastLongAlgorithmPays(t *testing.T) {
 	}
 }
 
+// The binomial reduce-to-root is the first half of Allreduce on
+// non-power-of-two worlds.
 func TestReduceSum(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8, 13} {
 		want := float64(n * (n - 1) / 2)
 		runWorld(t, n, func(r *Rank) {
-			res := r.Reduce(0, []float64{float64(r.ID()), 1}, OpSum)
+			res := r.reduceImpl(0, r.w.packF64([]float64{float64(r.ID()), 1}), OpSum)
 			if r.ID() == 0 {
-				if res[0] != want || res[1] != float64(n) {
+				if v := unpackF64(res); v[0] != want || v[1] != float64(n) {
 					panic("reduce wrong")
 				}
-			} else if res != nil {
+			} else if res.n != 0 {
 				panic("non-root got a result")
 			}
 		})
@@ -160,10 +162,15 @@ func TestAllreduceIdenticalAcrossRanks(t *testing.T) {
 
 func TestAllreduceMaxMin(t *testing.T) {
 	n := 6
+	opMin := func(dst, src []float64) {
+		for i := range dst {
+			dst[i] = math.Min(dst[i], src[i])
+		}
+	}
 	runWorld(t, n, func(r *Rank) {
 		x := float64(r.ID())
 		mx := r.Allreduce([]float64{x}, OpMax)[0]
-		mn := r.Allreduce([]float64{x}, OpMin)[0]
+		mn := r.Allreduce([]float64{x}, opMin)[0]
 		if mx != float64(n-1) || mn != 0 {
 			panic("max/min wrong")
 		}
@@ -268,7 +275,7 @@ func TestGatherScatter(t *testing.T) {
 					all[i] = byte(i * 3)
 				}
 			}
-			mine := r.Scatter(root, all, 1)
+			mine := r.scatterImpl(root, r.w.wrap(all), 1).bytes()
 			if mine[0] != byte(r.ID()*3) {
 				panic("scatter delivered the wrong block")
 			}

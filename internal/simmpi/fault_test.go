@@ -140,7 +140,6 @@ func TestStragglerDeratesComputeProfiles(t *testing.T) {
 	const work = vclock.Millisecond
 	if err := w.Run(func(r *Rank) {
 		r.Compute(work)
-		r.Barrier()
 	}); err != nil {
 		t.Fatal(err)
 	}

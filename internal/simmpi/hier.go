@@ -16,8 +16,8 @@ package simmpi
 // what makes the rack replay (replay.go) possible: in a world of
 // identical nodes every phase is symmetric per LOCAL rank index, so one
 // representative node's clock vector reproduces all ~17k ranks bit for
-// bit. Barrier, Reduce, Gather, and Scatter keep their flat algorithms
-// (their traffic still rides the fabric-priced links).
+// bit. Gather keeps its flat algorithm (its traffic still rides the
+// fabric-priced links).
 
 // rackInfo marks a world as two-level: nodes x perNode ranks, node-major.
 type rackInfo struct {
@@ -44,15 +44,6 @@ func deriveRack(cfg *Config) *rackInfo {
 		}
 	}
 	return &rackInfo{nodes: nodes, perNode: per}
-}
-
-// Rack reports the world's two-level shape: (nodes, ranksPerNode, true)
-// for a node-major fabric world, (0, 0, false) otherwise.
-func (w *World) Rack() (nodes, perNode int, ok bool) {
-	if w.rack == nil {
-		return 0, 0, false
-	}
-	return w.rack.nodes, w.rack.perNode, true
 }
 
 // rackNode and rackLocal decompose a rank id; leaderOf names a node's

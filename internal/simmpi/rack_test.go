@@ -175,7 +175,7 @@ func TestRackReplayRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := w.Rack(); !ok {
+	if w.rack == nil {
 		t.Fatal("node-major fabric world not detected as rack")
 	}
 	step := []SeqStep{{Kind: AllgatherKind, Bytes: 64}}
@@ -277,7 +277,7 @@ func TestHierContentCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := w.Size()
+	n := w.size
 	err = w.Run(func(r *Rank) {
 		id := r.ID()
 		// Allgather: rank i contributes [i, i].

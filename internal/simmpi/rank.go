@@ -2,6 +2,7 @@ package simmpi
 
 import (
 	"fmt"
+	"slices"
 
 	"maia/internal/machine"
 	"maia/internal/simtrace"
@@ -42,14 +43,8 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the world size.
 func (r *Rank) Size() int { return r.w.size }
 
-// Location returns the rank's placement.
-func (r *Rank) Location() Location { return r.w.cfg.Ranks[r.id] }
-
 // Device returns the device the rank runs on.
 func (r *Rank) Device() machine.Device { return r.w.cfg.Ranks[r.id].Device }
-
-// Now returns the rank's current virtual time.
-func (r *Rank) Now() vclock.Time { return r.clock.Now() }
 
 // Compute charges local computation time to the rank's clock. Under a
 // fault plan the nominal duration is first degraded by the device's
@@ -124,16 +119,70 @@ func (r *Rank) Recv(src, tag int) []byte {
 	return r.recv(src, tag).bytes()
 }
 
+// recv takes the first message from src matching tag and charges the
+// receiver's clock. A rendezvous transfer starts when both sides are
+// ready: at the later of the send and the receiver's current time.
+//
+// On a faulted fabric the delivery runs under a virtual-time deadline:
+// each seeded drop costs the timeout plus an exponentially growing
+// backoff before the retransmission, and the (derated) successful
+// flight lands after the accumulated penalty. Everything is charged to
+// the receiver's virtual clock — wall-clock behavior is unchanged.
 func (r *Rank) recv(src, tag int) payload {
-	// A blocking receive is a nonblocking receive posted and completed
-	// at the same instant.
 	t0 := r.clock.Now()
-	p := r.recvAt(src, tag, t0)
-	if !r.inColl {
-		r.record("MPI_Recv", int64(p.n), r.clock.Now()-t0)
-		r.traceOp("MPI_Recv", int64(p.n), t0)
+	w := r.w
+	box := &w.boxes[r.id]
+	box.mu.Lock()
+	var msg message
+	for {
+		if box.poisoned {
+			box.mu.Unlock()
+			panic("world poisoned by a failed rank")
+		}
+		q := box.bySrc[src]
+		found := -1
+		for i, m := range q {
+			if tag == AnyTag || m.tag == tag {
+				found = i
+				break
+			}
+		}
+		if found >= 0 {
+			msg = q[found]
+			box.bySrc[src] = slices.Delete(q, found, found+1)
+			break
+		}
+		box.cond.Wait()
 	}
-	return p
+	box.mu.Unlock()
+
+	_, flight, rendezvous := w.transferCost(src, r.id, msg.data.n)
+	start := msg.sendTime
+	if rendezvous {
+		start = vclock.Max(msg.sendTime, t0)
+	}
+	if f := w.fabricFault(src, r.id); f != nil {
+		flight = f.FlightTime(flight)
+		if attempts := w.cfg.Faults.Attempts(*f, src, r.id, msg.seq); attempts > 1 {
+			penalty := f.RetryPenalty(attempts)
+			if r.tracer != nil {
+				r.tracer.Span(r.track, simtrace.CatFault, "retry["+w.fabricName(src, r.id)+"]",
+					start, start+penalty, int64(msg.data.n))
+				r.tracer.Count(simtrace.CatFault, "mpi_retries", int64(attempts-1))
+			}
+			start += penalty
+		}
+	}
+	done := start + flight
+	r.clock.AdvanceTo(done)
+	if r.tracer != nil {
+		r.tracer.Span(r.track, simtrace.CatPCIe, w.fabricName(src, r.id), start, done, int64(msg.data.n))
+	}
+	if !r.inColl {
+		r.record("MPI_Recv", int64(msg.data.n), r.clock.Now()-t0)
+		r.traceOp("MPI_Recv", int64(msg.data.n), t0)
+	}
+	return msg.data
 }
 
 // Sendrecv sends to dst and receives from src in one exchange (the shape

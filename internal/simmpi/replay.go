@@ -10,7 +10,7 @@ import (
 
 // The replay prices communication scripts (SeqStep) in closed form: no
 // rank goroutines, no message queues, just the goroutine engine's
-// send/recvAt float recurrences stepped over a REPRESENTATIVE CLOCK
+// send/recv float recurrences stepped over a REPRESENTATIVE CLOCK
 // VECTOR. The state is t[0..width) clocks, each standing for `scale`
 // ranks whose clocks are provably equal at every point of the program:
 //
@@ -206,7 +206,7 @@ func (s *replay) send(src int, c pairCost) vclock.Time {
 	return tsPost
 }
 
-// recv mirrors recvAt on representative dst for a message priced c
+// recv mirrors Rank.recv on representative dst for a message priced c
 // (cost(src, dst, n)) that its sender posted at tsPost.
 func (s *replay) recv(dst int, c pairCost, tsPost vclock.Time) {
 	start := tsPost

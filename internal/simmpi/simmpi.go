@@ -12,8 +12,8 @@
 //   - host<->Phi and Phi<->Phi: the PCIe DAPL stacks of package pcie,
 //     pre- or post-update.
 //
-// Collective operations (Bcast, Reduce, Allreduce, Allgather, Alltoall,
-// Barrier) are implemented on top of point-to-point messages with the
+// Collective operations (Bcast, Allreduce, Allgather, Alltoall, Gather)
+// are implemented on top of point-to-point messages with the
 // classic algorithms real MPI libraries use, including size-based
 // algorithm switching — which is what produces the abrupt step the paper
 // observes in MPI_Allgather at 2–4 KB (Figure 13).
@@ -53,9 +53,6 @@ type Config struct {
 	// Stack is the PCIe software environment used for cross-device
 	// messages. Defaults to the post-update stack.
 	Stack *pcie.Stack
-	// EagerMaxBytes is the intra-device eager/rendezvous threshold.
-	// Zero selects the 8 KB default.
-	EagerMaxBytes int
 	// AllgatherSwitchBytes is the per-rank message size above which
 	// Allgather switches from recursive doubling to the ring algorithm
 	// (the Figure 13 jump). Zero selects the 2 KB default.
@@ -68,7 +65,7 @@ type Config struct {
 	// operation (named with the algorithm actually chosen, e.g.
 	// "MPI_Allgather[ring]"), per transport flight (category "pcie",
 	// named by fabric), and per sender-side injection, plus
-	// message/byte/barrier counters. Nil disables tracing at zero cost.
+	// message/byte counters. Nil disables tracing at zero cost.
 	Tracer *simtrace.Tracer
 	// TraceLabel prefixes the per-rank track names ("label/rank3"), so
 	// several worlds can share one tracer without track collisions.
@@ -102,10 +99,9 @@ type Config struct {
 }
 
 // Option adjusts a Config at world construction. Options are the one
-// idiom for attaching cross-cutting concerns (tracing, fault plans, the
-// PCIe software stack) across the simulated runtimes: simmpi.NewWorld,
-// simomp.New, offload.NewEngine, and harness.DefaultEnv all accept the
-// same shape.
+// idiom for attaching cross-cutting concerns (tracing, fault plans)
+// across the simulated runtimes: simmpi.NewWorld, simomp.New and
+// offload.NewEngine all accept the same shape.
 type Option func(*Config)
 
 // WithTracer attaches a simtrace tracer, with the track-name prefix the
@@ -122,19 +118,6 @@ func WithTracer(t *simtrace.Tracer, label string) Option {
 // plan injects nothing.
 func WithFaultPlan(p *simfault.Plan) Option {
 	return func(c *Config) { c.Faults = p }
-}
-
-// WithStack selects the PCIe software environment for cross-device
-// messages.
-func WithStack(s *pcie.Stack) Option {
-	return func(c *Config) { c.Stack = s }
-}
-
-// WithFabric attaches the rack-level interconnect model: inter-node
-// messages are then priced by hypercube hop count, and node-major worlds
-// run hierarchical collectives. A nil fabric keeps the single-node model.
-func WithFabric(f *machine.InterNodeFabric) Option {
-	return func(c *Config) { c.Fabric = f }
 }
 
 // HostPlacement places n ranks on the host at the given threads per core.
@@ -157,7 +140,7 @@ func PhiPlacement(dev machine.Device, n, threadsPerCore int) []Location {
 
 // RackPlacement places nodes x perNode ranks node-major: rank i lives on
 // node i/perNode, all on the same device at the given threads per core.
-// Pair it with WithFabric to build a two-level rack world.
+// Set Config.Fabric as well to build a two-level rack world.
 func RackPlacement(dev machine.Device, nodes, perNode, threadsPerCore int) []Location {
 	locs := make([]Location, nodes*perNode)
 	for i := range locs {
@@ -280,9 +263,6 @@ func NewWorld(cfg Config, opts ...Option) (*World, error) {
 	if cfg.Stack == nil {
 		cfg.Stack = pcie.NewStack(pcie.PostUpdate)
 	}
-	if cfg.EagerMaxBytes == 0 {
-		cfg.EagerMaxBytes = 8 << 10
-	}
 	if cfg.AllgatherSwitchBytes == 0 {
 		cfg.AllgatherSwitchBytes = 2 << 10
 	}
@@ -334,9 +314,6 @@ func (w *World) fabricFault(a, b int) *simfault.FabricFault {
 	}
 	return w.faults[a*w.size+b]
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
 
 // Run executes body once per rank, each on its own goroutine, and blocks
 // until all ranks return. A panic in any rank is recovered and returned
@@ -424,6 +401,10 @@ func (w *World) fabricName(a, b int) string {
 	}
 }
 
+// eagerMaxBytes is the intra-device eager/rendezvous threshold: larger
+// messages wait for the receiver before their flight starts.
+const eagerMaxBytes = 8 << 10
+
 // transferCost returns (sendSideCost, flightTime, rendezvous) for a
 // message of n bytes from rank a to rank b.
 //
@@ -434,7 +415,7 @@ func (w *World) fabricName(a, b int) string {
 //     sender before the transfer starts.
 func (w *World) transferCost(a, b int, n int) (sendSide, flight vclock.Time, rendezvous bool) {
 	la, lb := w.cfg.Ranks[a], w.cfg.Ranks[b]
-	rendezvous = n > w.cfg.EagerMaxBytes
+	rendezvous = n > eagerMaxBytes
 	if la.Node != lb.Node {
 		// Inter-node: 4x FDR InfiniBand. A Phi endpoint adds its PCIe
 		// leg to reach the HCA. With a fabric attached the hypercube

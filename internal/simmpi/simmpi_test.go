@@ -28,8 +28,8 @@ func TestNewWorldValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != 4 {
-		t.Fatalf("Size() = %d", w.Size())
+	if w.size != 4 {
+		t.Fatalf("size = %d", w.size)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestMailboxesBuiltByRun(t *testing.T) {
 		t.Errorf("RunSeq makespans %v and %v, want equal and positive", w.MaxTime(), ref.MaxTime())
 	}
 
-	sums := make([]float64, w.Size())
+	sums := make([]float64, w.size)
 	err = w.Run(func(r *Rank) {
 		n, id := r.Size(), r.ID()
 		got := r.Sendrecv((id+1)%n, 7, []byte{byte(id)}, (id+n-1)%n, 7)
@@ -246,7 +246,7 @@ func TestComputeAdvancesClock(t *testing.T) {
 	w, _ := NewWorld(hostCfg(1))
 	err := w.Run(func(r *Rank) {
 		r.Compute(3 * vclock.Millisecond)
-		if r.Now() != 3*vclock.Millisecond {
+		if r.clock.Now() != 3*vclock.Millisecond {
 			panic("clock wrong")
 		}
 	})
@@ -255,24 +255,6 @@ func TestComputeAdvancesClock(t *testing.T) {
 	}
 	if w.RankTime(0) != 3*vclock.Millisecond {
 		t.Fatalf("RankTime = %v", w.RankTime(0))
-	}
-}
-
-// Barrier: no rank leaves before the slowest arrives.
-func TestBarrierSynchronizes(t *testing.T) {
-	w, _ := NewWorld(hostCfg(8))
-	slow := 500 * vclock.Microsecond
-	err := w.Run(func(r *Rank) {
-		if r.ID() == 3 {
-			r.Compute(slow)
-		}
-		r.Barrier()
-		if r.Now() < slow {
-			panic("left the barrier before the slowest rank arrived")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -288,7 +270,7 @@ func TestRendezvousTiming(t *testing.T) {
 		} else {
 			r.Compute(late) // receiver posts late
 			r.Recv(0, 0)
-			if r.Now() <= late {
+			if r.clock.Now() <= late {
 				panic("rendezvous transfer took no time after the post")
 			}
 		}
@@ -307,9 +289,9 @@ func TestEagerOverlap(t *testing.T) {
 			r.Send(1, 0, []byte{1}) // eager, in flight during the compute
 		} else {
 			r.Compute(vclock.Millisecond)
-			before := r.Now()
+			before := r.clock.Now()
 			r.Recv(0, 0)
-			if r.Now() != before {
+			if r.clock.Now() != before {
 				panic("eager message already delivered should cost nothing")
 			}
 		}
@@ -376,10 +358,10 @@ func TestCrossDevicePath(t *testing.T) {
 			r.Send(2, 0, []byte{1})
 		case 1:
 			r.Recv(0, 0)
-			t01 = r.Now()
+			t01 = r.clock.Now()
 		case 2:
 			r.Recv(0, 0)
-			t02 = r.Now()
+			t02 = r.clock.Now()
 		}
 	})
 	if err != nil {
@@ -445,7 +427,7 @@ func TestStressRandomTraffic(t *testing.T) {
 				case 1:
 					r.Allgather(make([]byte, round+1))
 				case 2:
-					r.Barrier()
+					r.Gather(0, make([]byte, 8))
 				default:
 					r.Bcast(0, make([]byte, 128))
 				}

@@ -141,36 +141,6 @@ func TestTraceAlgorithmAndFabricNames(t *testing.T) {
 	}
 }
 
-// Barrier bumps the barrier counter and names its algorithm.
-func TestTraceBarrier(t *testing.T) {
-	tr := simtrace.New()
-	w, err := NewWorld(Config{Ranks: HostPlacement(4, 1)}, WithTracer(tr, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(func(r *Rank) { r.Barrier(); r.Barrier() }); err != nil {
-		t.Fatal(err)
-	}
-	var barriers int64
-	for _, c := range tr.Counters() {
-		if c.Key == (simtrace.CounterKey{Cat: simtrace.CatMPI, Name: "barriers"}) {
-			barriers = c.Value
-		}
-	}
-	if barriers != 8 {
-		t.Errorf("barriers counter %d, want 8 (4 ranks x 2)", barriers)
-	}
-	found := false
-	for _, s := range tr.Spans() {
-		if s.Name == "MPI_Barrier[dissemination]" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("barrier span lacks [dissemination]")
-	}
-}
-
 // A world with tracing off behaves identically (same virtual times) and
 // the rank clocks are unaffected by tracing on: the tracer observes,
 // never perturbs.

@@ -44,16 +44,6 @@ func MeasureSyncOverhead(rt *Runtime, c Construct) vclock.Time {
 	}
 }
 
-// SyncOverheads returns the full Figure 15 row for a runtime: construct →
-// overhead.
-func SyncOverheads(rt *Runtime) map[Construct]vclock.Time {
-	out := make(map[Construct]vclock.Time, numConstructs)
-	for _, c := range Constructs() {
-		out[c] = MeasureSyncOverhead(rt, c)
-	}
-	return out
-}
-
 // MeasureSchedOverhead measures the Figure 16 overhead of one scheduling
 // policy at one chunk size, EPCC style.
 func MeasureSchedOverhead(rt *Runtime, s Schedule, chunkSize int) vclock.Time {
@@ -62,18 +52,4 @@ func MeasureSchedOverhead(rt *Runtime, s Schedule, chunkSize int) vclock.Time {
 	ts := vclock.Time(refIterations) * refIterCost
 	tp := team.For(refIterations, ForOpts{Sched: s, Chunk: chunkSize, IterCost: refIterCost}, nil)
 	return tp - ts/p
-}
-
-// SchedOverheads returns the Figure 16 rows for a runtime: schedule →
-// overhead at each chunk size in chunks.
-func SchedOverheads(rt *Runtime, chunks []int) map[Schedule][]vclock.Time {
-	out := make(map[Schedule][]vclock.Time, 3)
-	for _, s := range Schedules() {
-		row := make([]vclock.Time, len(chunks))
-		for i, c := range chunks {
-			row[i] = MeasureSchedOverhead(rt, s, c)
-		}
-		out[s] = row
-	}
-	return out
 }

@@ -29,14 +29,9 @@ func TestScheduleWithoutListsMatchesLists(t *testing.T) {
 		team := &Team{rt: rt, threads: threads, workers: 2}
 		n := []int{0, 1, rng.Intn(threads), threads * (20 + rng.Intn(40))}[rng.Intn(4)]
 		o := ForOpts{
-			Sched: []Schedule{Static, Dynamic, Guided}[rng.Intn(3)],
-			Chunk: []int{0, 1, 2 + rng.Intn(64)}[rng.Intn(3)],
-		}
-		if rng.Intn(2) == 0 {
-			o.IterCost = vclock.Time(1 + rng.Intn(1000))
-		} else {
-			salt := rng.Intn(1 << 20)
-			o.CostFn = func(i int) vclock.Time { return vclock.Time(1 + (i*7919+salt)%997) }
+			Sched:    []Schedule{Static, Dynamic, Guided}[rng.Intn(3)],
+			Chunk:    []int{0, 1, 2 + rng.Intn(64)}[rng.Intn(3)],
+			IterCost: vclock.Time(1 + rng.Intn(1000)),
 		}
 
 		lists, listedChunks, listedSpan := team.schedule(n, o, true)

@@ -224,9 +224,6 @@ func New(part machine.Partition, opts ...Option) *Runtime {
 	return r
 }
 
-// Partition returns the partition the runtime executes on.
-func (r *Runtime) Partition() machine.Partition { return r.part }
-
 // setTracer attaches a tracer to the runtime (see WithTracer). A nil
 // tracer turns tracing off.
 func (r *Runtime) setTracer(t *simtrace.Tracer, track string) {

@@ -35,14 +35,17 @@ func TestFig15PhiOrderOfMagnitude(t *testing.T) {
 // by PARALLEL FOR and PARALLEL; ATOMIC is the least expensive.
 func TestFig15Ordering(t *testing.T) {
 	for _, rt := range []*Runtime{hostRT(), phiRT()} {
-		o := SyncOverheads(rt)
+		o := make(map[Construct]vclock.Time)
+		for _, c := range Constructs() {
+			o[c] = MeasureSyncOverhead(rt, c)
+		}
 		if !(o[Reduction] > o[ParallelFor] && o[ParallelFor] > o[Parallel]) {
 			t.Errorf("%v: want REDUCTION > PARALLEL FOR > PARALLEL, got %v > %v > %v",
-				rt.Partition(), o[Reduction], o[ParallelFor], o[Parallel])
+				rt.part, o[Reduction], o[ParallelFor], o[Parallel])
 		}
 		for _, c := range Constructs() {
 			if c != Atomic && o[c] <= o[Atomic] {
-				t.Errorf("%v: %v (%v) not above ATOMIC (%v)", rt.Partition(), c, o[c], o[Atomic])
+				t.Errorf("%v: %v (%v) not above ATOMIC (%v)", rt.part, c, o[c], o[Atomic])
 			}
 		}
 	}
@@ -57,7 +60,7 @@ func TestFig16Ordering(t *testing.T) {
 		gu := MeasureSchedOverhead(rt, Guided, 1)
 		if !(st < gu && gu < dy) {
 			t.Errorf("%v: want STATIC (%v) < GUIDED (%v) < DYNAMIC (%v)",
-				rt.Partition(), st, gu, dy)
+				rt.part, st, gu, dy)
 		}
 	}
 	hostDyn := MeasureSchedOverhead(hostRT(), Dynamic, 1)
@@ -123,9 +126,7 @@ func TestForReduceSum(t *testing.T) {
 // Virtual time is deterministic: identical calls yield identical times.
 func TestTimingDeterministic(t *testing.T) {
 	team := NewTeam(phiRT())
-	opts := ForOpts{Sched: Dynamic, Chunk: 3, CostFn: func(i int) vclock.Time {
-		return vclock.Time(i%7+1) * vclock.Nanosecond
-	}}
+	opts := ForOpts{Sched: Dynamic, Chunk: 3, IterCost: 3 * vclock.Nanosecond}
 	a := team.For(5000, opts, nil)
 	b := team.For(5000, opts, nil)
 	if a != b {
@@ -164,18 +165,6 @@ func TestTinyLoopOnWideTeam(t *testing.T) {
 	}
 }
 
-// NoWait elides the barrier.
-func TestNoWait(t *testing.T) {
-	team := NewTeam(hostRT())
-	with := team.For(64, ForOpts{Sched: Static, IterCost: vclock.Nanosecond}, nil)
-	without := team.For(64, ForOpts{Sched: Static, IterCost: vclock.Nanosecond, NoWait: true}, nil)
-	diff := with - without
-	want := team.Runtime().SyncOverhead(Barrier)
-	if diff != want {
-		t.Fatalf("barrier elision saved %v, want %v", diff, want)
-	}
-}
-
 // Parallel executes the body once per simulated thread.
 func TestParallelBodyPerThread(t *testing.T) {
 	rt := New(machine.HostCoresPartition(machine.NewNode(), 5, 2))
@@ -186,20 +175,6 @@ func TestParallelBodyPerThread(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("thread %d ran %d times", tid, c)
 		}
-	}
-}
-
-// SingleRegion runs its body exactly once and charges SINGLE.
-func TestSingleRegion(t *testing.T) {
-	team := NewTeam(hostRT())
-	ran := 0
-	el := team.SingleRegion(func() { ran++ }, 2*vclock.Microsecond)
-	if ran != 1 {
-		t.Fatalf("single body ran %d times", ran)
-	}
-	want := 2*vclock.Microsecond + team.Runtime().SyncOverhead(Single)
-	if el != want {
-		t.Fatalf("single elapsed %v, want %v", el, want)
 	}
 }
 
@@ -224,18 +199,5 @@ func TestStringers(t *testing.T) {
 	}
 	if Static.String() != "STATIC" || Dynamic.String() != "DYNAMIC" || Guided.String() != "GUIDED" {
 		t.Error("Schedule.String wrong")
-	}
-}
-
-func TestSchedOverheadsShape(t *testing.T) {
-	chunks := []int{1, 8, 64}
-	m := SchedOverheads(hostRT(), chunks)
-	if len(m) != 3 {
-		t.Fatalf("got %d schedules", len(m))
-	}
-	for s, row := range m {
-		if len(row) != len(chunks) {
-			t.Fatalf("%v: %d points, want %d", s, len(row), len(chunks))
-		}
 	}
 }

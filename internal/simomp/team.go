@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"maia/internal/simtrace"
 	"maia/internal/vclock"
 	"maia/internal/workgroup"
 )
@@ -15,13 +14,8 @@ type ForOpts struct {
 	// Chunk is the schedule chunk size; 0 selects the OpenMP default
 	// (n/threads for STATIC, 1 for DYNAMIC and GUIDED).
 	Chunk int
-	// IterCost is the uniform virtual cost of one iteration. When CostFn
-	// is non-nil it takes precedence.
+	// IterCost is the uniform virtual cost of one iteration.
 	IterCost vclock.Time
-	// CostFn gives a per-iteration virtual cost for irregular loops.
-	CostFn func(i int) vclock.Time
-	// NoWait elides the implied end-of-loop barrier (OpenMP `nowait`).
-	NoWait bool
 }
 
 // Team is a fork/join thread team bound to a Runtime. Loop bodies execute
@@ -49,9 +43,6 @@ func NewTeam(rt *Runtime) *Team {
 // Threads returns the team size (simulated threads, not Go workers).
 func (t *Team) Threads() int { return t.threads }
 
-// Runtime returns the backing runtime.
-func (t *Team) Runtime() *Runtime { return t.rt }
-
 // assignment maps each simulated thread to the chunks it executes.
 type chunk struct{ lo, hi int } // [lo, hi)
 
@@ -77,13 +68,6 @@ func (t *Team) schedule(n int, o ForOpts, keep bool) (perThread [][]chunk, chunk
 	// Iteration costs are nominal healthy-machine durations; a straggler
 	// device stretches them by the fault plan's steady factor.
 	cost := func(lo, hi int) vclock.Time {
-		if o.CostFn != nil {
-			var s vclock.Time
-			for i := lo; i < hi; i++ {
-				s += o.CostFn(i)
-			}
-			return t.rt.scale(s)
-		}
 		return t.rt.scale(vclock.Time(hi-lo) * o.IterCost)
 	}
 	busy := make([]vclock.Time, t.threads)
@@ -194,17 +178,14 @@ func (t *Team) run(perThread [][]chunk, body func(i int)) {
 
 // For runs a work-shared loop of n iterations under a parallel region
 // that already exists (OpenMP `#pragma omp for`). It returns the virtual
-// time consumed: schedule span + FOR overhead (+ barrier unless NoWait).
+// time consumed: schedule span + FOR overhead + the implied barrier.
 //
 // The body, when non-nil, really executes; iterations must be independent
 // (the usual OpenMP loop contract).
 func (t *Team) For(n int, o ForOpts, body func(i int)) vclock.Time {
 	perThread, chunks, span := t.schedule(n, o, body != nil)
 	t.run(perThread, body)
-	elapsed := span + t.rt.SyncOverhead(For)
-	if !o.NoWait {
-		elapsed += t.rt.SyncOverhead(Barrier)
-	}
+	elapsed := span + t.rt.SyncOverhead(For) + t.rt.SyncOverhead(Barrier)
 	if t.rt.tracer != nil {
 		t.rt.trace("for["+schedName(o.Sched)+"]", elapsed, chunks)
 	}
@@ -282,27 +263,6 @@ func (t *Team) ForReduceSum(n int, o ForOpts, body func(i int) float64) (float64
 		t.rt.trace("reduction["+schedName(o.Sched)+"]", elapsed, chunks)
 	}
 	return sum, elapsed
-}
-
-// BarrierWait charges one explicit barrier.
-func (t *Team) BarrierWait() vclock.Time {
-	elapsed := t.rt.SyncOverhead(Barrier)
-	if t.rt.tracer != nil {
-		t.rt.trace("barrier", elapsed, 0)
-		t.rt.tracer.Count(simtrace.CatOMP, "barriers", 1)
-	}
-	return elapsed
-}
-
-// SingleRegion executes body on one thread (`#pragma omp single`) and
-// charges the SINGLE overhead plus the body's cost.
-func (t *Team) SingleRegion(body func(), cost vclock.Time) vclock.Time {
-	if body != nil {
-		body()
-	}
-	elapsed := t.rt.scale(cost) + t.rt.SyncOverhead(Single)
-	t.rt.trace("single", elapsed, 0)
-	return elapsed
 }
 
 // schedName is the lower-case schedule tag in traced span names; callers

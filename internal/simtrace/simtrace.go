@@ -4,10 +4,10 @@
 // The paper's contribution is *explaining* where time goes on Maia —
 // host vs Phi ring vs PCIe/DAPL — yet a simulator normally emits only
 // final tables. simtrace records the virtual-time events behind every
-// number: a Tracer collects spans (Begin/End with vclock timestamps, a
+// number: a Tracer collects spans (start/end vclock timestamps, a
 // track naming the agent — rank, thread, device — and a fixed category
 // vocabulary) plus monotonic counters (bytes moved, messages,
-// barriers). Instrumented code pays nothing when tracing is off: every
+// retries). Instrumented code pays nothing when tracing is off: every
 // method on *Tracer is nil-safe, so the idiomatic hook is a plain
 // method call on a possibly-nil tracer, guarded by an `!= nil` check
 // only where arguments would otherwise allocate.
@@ -73,7 +73,7 @@ func (s Span) Dur() vclock.Time { return s.End - s.Start }
 type CounterKey struct {
 	// Cat is the counter's category.
 	Cat Category
-	// Name identifies the quantity ("messages", "bytes", "barriers").
+	// Name identifies the quantity ("messages", "bytes", "mpi_retries").
 	Name string
 }
 
@@ -100,9 +100,6 @@ type Tracer struct {
 func New() *Tracer {
 	return &Tracer{counters: make(map[CounterKey]int64)}
 }
-
-// Enabled reports whether the tracer records anything (i.e. is non-nil).
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // SetProcess names the logical process attributed to subsequently
 // recorded spans (typically an experiment ID).
@@ -148,36 +145,6 @@ func (t *Tracer) Span(track string, cat Category, name string, start, end vclock
 		Start: start, End: end, Bytes: bytes,
 	})
 	t.mu.Unlock()
-}
-
-// Active is an in-progress span returned by Begin. It is a value type:
-// when the tracer is nil, Begin returns the zero Active and End is a
-// no-op, so the disabled path performs no allocation.
-type Active struct {
-	t     *Tracer
-	track string
-	name  string
-	cat   Category
-	start vclock.Time
-}
-
-// Begin opens a span at virtual time now. Close it with End/EndBytes.
-func (t *Tracer) Begin(track string, cat Category, name string, now vclock.Time) Active {
-	if t == nil {
-		return Active{}
-	}
-	return Active{t: t, track: track, cat: cat, name: name, start: now}
-}
-
-// End closes the span at virtual time now with no payload.
-func (a Active) End(now vclock.Time) { a.EndBytes(now, 0) }
-
-// EndBytes closes the span at virtual time now, recording the payload.
-func (a Active) EndBytes(now vclock.Time, bytes int64) {
-	if a.t == nil {
-		return
-	}
-	a.t.Span(a.track, a.cat, a.name, a.start, now, bytes)
 }
 
 // Count adds delta to the named monotonic counter.

@@ -1,30 +1,9 @@
 // Package stats provides the small numeric helpers the experiment
-// harness uses to summarize series: extrema, means, and ratio ranges
-// (the paper reports most comparisons as "higher by a factor of X to Y").
+// harness uses to summarize ratios: extrema and the geometric mean (the
+// paper reports most comparisons as "higher by a factor of X to Y").
 package stats
 
-import (
-	"fmt"
-	"math"
-)
-
-// Point is one (x, y) sample of a sweep.
-type Point struct {
-	X float64
-	Y float64
-}
-
-// Series is an ordered sweep.
-type Series []Point
-
-// Ys returns the y values.
-func (s Series) Ys() []float64 {
-	out := make([]float64, len(s))
-	for i, p := range s {
-		out[i] = p.Y
-	}
-	return out
-}
+import "math"
 
 // Min returns the smallest value of xs. It panics on an empty slice.
 func Min(xs []float64) float64 {
@@ -50,16 +29,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Mean returns the arithmetic mean. It panics on an empty slice.
-func Mean(xs []float64) float64 {
-	mustNonEmpty(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // GeoMean returns the geometric mean of positive values. It panics on an
 // empty slice and returns NaN if any value is non-positive.
 func GeoMean(xs []float64) float64 {
@@ -72,28 +41,6 @@ func GeoMean(xs []float64) float64 {
 		s += math.Log(x)
 	}
 	return math.Exp(s / float64(len(xs)))
-}
-
-// RatioRange divides two equal-length sweeps elementwise and returns the
-// (min, max) ratio — the paper's "factor of X to Y" summaries.
-func RatioRange(num, den []float64) (lo, hi float64, err error) {
-	if len(num) != len(den) || len(num) == 0 {
-		return 0, 0, fmt.Errorf("stats: ratio of %d vs %d values", len(num), len(den))
-	}
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for i := range num {
-		if den[i] == 0 {
-			return 0, 0, fmt.Errorf("stats: zero denominator at %d", i)
-		}
-		r := num[i] / den[i]
-		if r < lo {
-			lo = r
-		}
-		if r > hi {
-			hi = r
-		}
-	}
-	return lo, hi, nil
 }
 
 func mustNonEmpty(xs []float64) {

@@ -87,16 +87,3 @@ func (t *Table) Fprint(w io.Writer) error {
 	}
 	return nil
 }
-
-// Bar renders a proportional ASCII bar of the given value against a
-// maximum, `width` characters wide.
-func Bar(value, max float64, width int) string {
-	if max <= 0 || value < 0 || width <= 0 {
-		return ""
-	}
-	n := int(value / max * float64(width))
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("#", n)
-}

@@ -43,18 +43,6 @@ func TestTableMixedTypes(t *testing.T) {
 	}
 }
 
-func TestBar(t *testing.T) {
-	if Bar(5, 10, 10) != "#####" {
-		t.Fatalf("Bar(5,10,10) = %q", Bar(5, 10, 10))
-	}
-	if Bar(20, 10, 10) != "##########" {
-		t.Fatal("Bar must clamp to width")
-	}
-	if Bar(1, 0, 10) != "" || Bar(-1, 10, 10) != "" || Bar(1, 10, 0) != "" {
-		t.Fatal("degenerate bars must be empty")
-	}
-}
-
 func TestChartRender(t *testing.T) {
 	out := NewChart(5).
 		Series("rising", []float64{1, 2, 3, 4, 5}).

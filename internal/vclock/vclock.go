@@ -111,7 +111,3 @@ func (c *Clock) AdvanceTo(t Time) {
 		c.now = t
 	}
 }
-
-// Reset rewinds the clock to zero. Only the owner of a simulation (never an
-// agent inside one) should call this, between independent experiments.
-func (c *Clock) Reset() { c.now = 0 }

@@ -45,15 +45,6 @@ func TestClockAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestClockReset(t *testing.T) {
-	var c Clock
-	c.Advance(Second)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("Reset left clock at %v", c.Now())
-	}
-}
-
 func TestClockMonotonic(t *testing.T) {
 	// Property: any sequence of non-negative advances keeps Now
 	// non-decreasing and equal to the running sum.
