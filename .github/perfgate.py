@@ -37,6 +37,10 @@ BUDGETS = {
     "cold_p99_ms": ("<=", 100),
     "fleet_p99_ms": ("<=", 250),
     "harness.render.fig5_ms": ("<=", 100),
+    # fig5's two curves read ~0.02 ms with the O(binades) latency sum and
+    # ~3.5 ms with one float add per access (traced serve-cold, 2-vCPU
+    # VM); fig5_ms's budget cannot see that fallback, this one trips on it.
+    "memsim.latency_curve_ms": ("<=", 1),
     # fig6 takes a few ms in closed form, 400-600 ms per access
     # (MAIA_NO_FASTPATH=1): a trip means memsim's closed form stopped engaging.
     "harness.render.fig6_ms": ("<=", 100),

@@ -6,63 +6,28 @@ import (
 	"sync/atomic"
 
 	"maia/internal/machine"
-	"maia/internal/vclock"
 	"maia/internal/workgroup"
 )
 
-// RangeStats aggregates what a batch of accesses observed: how many
-// were served by each level (index len(levels) is main memory) and the
-// total load-to-use latency charged.
-type RangeStats struct {
-	LevelCounts []uint64
-	Latency     vclock.Time
-}
-
-// AccessRange performs n accesses at addr, addr+stride, addr+2*stride, ...
-// and returns the aggregate level counts and latency. It is exactly
-// equivalent to calling Access on each address in order — same hit/miss
-// counters, same LRU state, same latency — but takes an analytical fast
-// path for runs that stay inside one L1 line.
-//
-// The fast path is exact, not approximate: after Access(a) the line of a
-// is MRU in L1, and a repeated MRU hit neither reorders LRU state nor
-// probes outer levels, so the k follow-up accesses that land in the same
-// line contribute precisely k L1 hits and k*L1-latency — which can be
-// added arithmetically without walking the cache.
-func (h *Hierarchy) AccessRange(addr uint64, n int, stride uint64) RangeStats {
-	st := RangeStats{LevelCounts: make([]uint64, len(h.levels)+1)}
-	st.Latency = h.AccessRangeInto(st.LevelCounts, addr, n, stride)
-	return st
-}
-
-// AccessRangeInto is AccessRange accumulating into a caller-provided
-// counts slice (len(levels)+1 entries, NOT cleared first) and returning
-// the batch's total latency — the allocation-free form the repeated-pass
-// sweeps use.
-func (h *Hierarchy) AccessRangeInto(counts []uint64, addr uint64, n int, stride uint64) vclock.Time {
-	var total vclock.Time
-	if n <= 0 {
-		return 0
-	}
-	if len(h.levels) == 0 {
-		for i := 0; i < n; i++ {
-			lv, lat := h.Access(addr + uint64(i)*stride)
-			counts[lv]++
-			total += lat
-		}
-		return total
-	}
-	l1 := h.levels[0]
-	lb := uint64(l1.lineBytes)
+// AccessRangeInto performs n accesses at addr, addr+stride, ... and
+// tallies their serving levels into counts (len(levels)+1 entries, index
+// len(levels) is main memory, NOT cleared first). It is exactly
+// equivalent to calling Access on each address in order — same counters
+// and LRU state — but counts the follow-up accesses that stay inside the
+// L1 line just accessed arithmetically: that line is MRU in L1, and a
+// repeated MRU hit neither reorders LRU state nor probes outer levels, so
+// k of them are precisely k L1 hits.
+func (h *Hierarchy) AccessRangeInto(counts []uint64, addr uint64, n int, stride uint64) {
 	for i := 0; i < n; {
 		a := addr + uint64(i)*stride
-		lv, lat := h.Access(a)
+		lv, _ := h.Access(a)
 		counts[lv]++
-		total += lat
 		i++
-		if i >= n || stride >= lb {
+		if i >= n || len(h.levels) == 0 || stride >= uint64(h.levels[0].lineBytes) {
 			continue
 		}
+		l1 := h.levels[0]
+		lb := uint64(l1.lineBytes)
 		// How many of the remaining accesses stay inside a's L1 line?
 		var k int
 		if stride == 0 {
@@ -76,12 +41,10 @@ func (h *Hierarchy) AccessRangeInto(counts []uint64, addr uint64, n int, stride 
 		}
 		if k > 0 {
 			counts[0] += uint64(k)
-			total += vclock.Time(k) * l1.latency
 			l1.hits += uint64(k)
 			i += k
 		}
 	}
-	return total
 }
 
 // sweepPoints runs fn(i) for i in [0,n) on a bounded worker pool and

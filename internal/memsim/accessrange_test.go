@@ -33,10 +33,10 @@ func randomSpec(rng *rand.Rand) machine.ProcessorSpec {
 }
 
 // TestAccessRangeMatchesNaive is the exactness property: over random
-// (addr, n, stride, assoc, level geometry), AccessRange must agree with
-// the naive per-element Access loop on the serving-level counts, the
-// returned total latency, every level's hit/miss counters, and the
-// memory access count — i.e. the fast path is undetectable.
+// (addr, n, stride, assoc, level geometry), AccessRangeInto must agree with
+// the naive per-element Access loop on the serving-level counts, every
+// level's hit/miss counters, and the memory access count — i.e. the fast
+// path is undetectable.
 func TestAccessRangeMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
@@ -57,25 +57,20 @@ func TestAccessRangeMatchesNaive(t *testing.T) {
 			n := rng.Intn(200)
 			stride := uint64(rng.Intn(100)) // includes 0 and sub-line strides
 			wantCounts := make([]uint64, len(naive.Levels())+1)
-			var wantLat int64
 			for i := 0; i < n; i++ {
-				lv, lat := naive.Access(addr + uint64(i)*stride)
+				lv, _ := naive.Access(addr + uint64(i)*stride)
 				wantCounts[lv]++
-				wantLat += int64(lat)
 			}
-			st := fast.AccessRange(addr, n, stride)
-			if int64(st.Latency) != wantLat {
-				t.Fatalf("trial %d batch %d (addr=%d n=%d stride=%d): latency %d, naive %d",
-					trial, batch, addr, n, stride, int64(st.Latency), wantLat)
-			}
+			counts := make([]uint64, len(wantCounts))
+			fast.AccessRangeInto(counts, addr, n, stride)
 			for lv := range wantCounts {
-				if st.LevelCounts[lv] != wantCounts[lv] {
+				if counts[lv] != wantCounts[lv] {
 					t.Fatalf("trial %d batch %d (addr=%d n=%d stride=%d): level %d count %d, naive %d",
-						trial, batch, addr, n, stride, lv, st.LevelCounts[lv], wantCounts[lv])
+						trial, batch, addr, n, stride, lv, counts[lv], wantCounts[lv])
 				}
 			}
-			if accesses(st) != uint64(n) {
-				t.Fatalf("trial %d batch %d: tallied %d accesses, want %d", trial, batch, accesses(st), n)
+			if sum(counts) != uint64(n) {
+				t.Fatalf("trial %d batch %d: tallied %d accesses, want %d", trial, batch, sum(counts), n)
 			}
 			for lv := range naive.Levels() {
 				nh, nm := naive.Levels()[lv].Stats()
@@ -108,7 +103,7 @@ func TestAccessRangeLRUStateMatches(t *testing.T) {
 		for i := 0; i < n; i++ {
 			naive.Access(addr + uint64(i)*stride)
 		}
-		fast.AccessRange(addr, n, stride)
+		fast.AccessRangeInto(make([]uint64, len(fast.Levels())+1), addr, n, stride)
 		// Probe random addresses through both; any LRU divergence shows
 		// up as a different serving level.
 		for p := 0; p < 200; p++ {
@@ -125,20 +120,21 @@ func TestAccessRangeLRUStateMatches(t *testing.T) {
 
 func TestAccessRangeEdgeCases(t *testing.T) {
 	h := MustHierarchy(machine.SandyBridge())
-	if st := h.AccessRange(0, 0, 8); accesses(st) != 0 {
-		t.Fatalf("n=0 tallied %d accesses", accesses(st))
+	counts := make([]uint64, len(h.Levels())+1)
+	if h.AccessRangeInto(counts, 0, 0, 8); sum(counts) != 0 {
+		t.Fatalf("n=0 tallied %d accesses", sum(counts))
 	}
-	if st := h.AccessRange(128, -3, 8); accesses(st) != 0 {
-		t.Fatalf("n<0 tallied %d accesses", accesses(st))
+	if h.AccessRangeInto(counts, 128, -3, 8); sum(counts) != 0 {
+		t.Fatalf("n<0 tallied %d accesses", sum(counts))
 	}
 	// Zero stride: one real access, then pure L1 hits.
 	h.Flush()
-	st := h.AccessRange(64, 100, 0)
-	if accesses(st) != 100 {
-		t.Fatalf("zero stride tallied %d accesses, want 100", accesses(st))
+	h.AccessRangeInto(counts, 64, 100, 0)
+	if sum(counts) != 100 {
+		t.Fatalf("zero stride tallied %d accesses, want 100", sum(counts))
 	}
-	if st.LevelCounts[0] != 99 {
-		t.Fatalf("zero stride: %d L1 hits, want 99", st.LevelCounts[0])
+	if counts[0] != 99 {
+		t.Fatalf("zero stride: %d L1 hits, want 99", counts[0])
 	}
 }
 
@@ -166,10 +162,10 @@ func TestSweepPointsWorkerPanicReachesCaller(t *testing.T) {
 	t.Fatal("sweepPoints returned after a worker panicked")
 }
 
-// accesses returns the total access count tallied in s.
-func accesses(s RangeStats) uint64 {
+// sum returns the total access count tallied in counts.
+func sum(counts []uint64) uint64 {
 	var n uint64
-	for _, c := range s.LevelCounts {
+	for _, c := range counts {
 		n += c
 	}
 	return n

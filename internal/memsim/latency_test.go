@@ -33,15 +33,48 @@ func TestPhiLatencyPlateaus(t *testing.T) {
 	within(t, "phi 8MB", ChaseLatency(h, 8<<20, 3).LatencyNs, 295, 0.05)
 }
 
-// The latency curve must be (weakly) increasing with working-set size.
-func TestLatencyCurveMonotone(t *testing.T) {
+// monotoneGrids are the working-set grids the monotonicity properties
+// sweep: Figures 5 and 6 (the same 4 KB–64 MB doubling), and that grid
+// interleaved with its 1.5× points (6 KB, 12 KB, ..., 48 MB).
+func monotoneGrids() map[string][]int {
+	doubling := doublingSizes(4<<10, 64<<20)
+	var interleaved []int
+	for _, ws := range doubling {
+		interleaved = append(interleaved, ws)
+		if ws < 64<<20 {
+			interleaved = append(interleaved, ws*3/2)
+		}
+	}
+	return map[string][]int{"fig5/fig6 doubling": doubling, "1.5x interleaved": interleaved}
+}
+
+// TestCurvesMonotoneInWorkingSet is the metamorphic property behind
+// Figures 5 and 6: on both catalog processors, a chase's latency never
+// falls as its working set grows, and a stream's read and write
+// bandwidths never rise. Points on one plateau differ only by float
+// rounding: a chase's mean sums up to 2^20 latencies, whose rounding
+// error stays below 2^20·2^-53 ≈ 1.2e-10 of the total, so a step
+// counts as a violation only past a relative slack of 1e-9.
+func TestCurvesMonotoneInWorkingSet(t *testing.T) {
+	const slack = 1e-9
+	falls := func(from, to float64) bool { return to < from*(1-slack) }
 	for _, proc := range []machine.ProcessorSpec{machine.SandyBridge(), machine.XeonPhi5110P()} {
-		curve := LatencyCurve(proc, 4<<10, 8<<20)
-		for i := 1; i < len(curve); i++ {
-			if curve[i].LatencyNs < curve[i-1].LatencyNs*0.999 {
-				t.Errorf("%s: latency decreased from %v (%dB) to %v (%dB)",
-					proc.Architecture, curve[i-1].LatencyNs, curve[i-1].WorkingSetBytes,
-					curve[i].LatencyNs, curve[i].WorkingSetBytes)
+		for name, sizes := range monotoneGrids() {
+			h := MustHierarchy(proc)
+			var lat LatencyPoint
+			var bw BandwidthPoint
+			for i, ws := range sizes {
+				l := ChaseLatency(h, ws, uint64(1+i))
+				b := StreamBandwidth(h, proc, ws)
+				if i > 0 && falls(lat.LatencyNs, l.LatencyNs) {
+					t.Errorf("%s %s: latency fell from %v ns (%d B) to %v ns (%d B)",
+						proc.Architecture, name, lat.LatencyNs, lat.WorkingSetBytes, l.LatencyNs, ws)
+				}
+				if i > 0 && (falls(b.ReadGBs, bw.ReadGBs) || falls(b.WriteGBs, bw.WriteGBs)) {
+					t.Errorf("%s %s: bandwidth rose from %v/%v GB/s (%d B) to %v/%v GB/s (%d B)",
+						proc.Architecture, name, bw.ReadGBs, bw.WriteGBs, bw.WorkingSetBytes, b.ReadGBs, b.WriteGBs, ws)
+				}
+				lat, bw = l, b
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"math"
 	"os"
 
 	"maia/internal/vclock"
@@ -96,10 +97,9 @@ func newUniformSim(h *Hierarchy, n int, stride uint64) *uniformSim {
 
 // run prices the next m line accesses, accumulating serve counts into
 // counts (len(levels)+1, not cleared) when non-nil: the compulsory
-// misses left at memory, then the rest at sv. Each access adds its
-// latency to *latSink, when non-nil, one at a time in access order, as
-// the per-access path does — float addition is order-sensitive. Extras
-// are charged per whole cycle, so an engine with extras must run whole
+// misses left at memory, then the rest at sv. Their latencies add into
+// *latSink, when non-nil, as one float add per access would. Extras are
+// charged per whole cycle, so an engine with extras must run whole
 // cycles with a nil latSink (the strided walks' shape).
 func (u *uniformSim) run(m int, latSink *vclock.Time, counts []uint64) {
 	cold := min(m, u.cold)
@@ -137,12 +137,34 @@ func (u *uniformSim) charge(lv, m int, latSink *vclock.Time, counts []uint64) {
 		counts[lv] += um
 	}
 	if latSink != nil {
-		t := *latSink
-		for i := m; i > 0; i-- {
-			t += lat
-		}
-		*latSink = t
+		*latSink = repeatAdd(*latSink, lat, m)
 	}
+}
+
+// repeatAdd returns t after k steps of t += c, bit-identical to that loop
+// but in O(binades) steps (DESIGN.md §10). Inside one binade each step
+// adds the same number of ulps once one real step inside it has settled
+// round-half-even's parity; the next real step measures that increment.
+// Steps that cross binades are real additions; t + c == t ends the sum.
+func repeatAdd(t, c vclock.Time, k int) vclock.Time {
+	const mant = 1<<52 - 1
+	settled := false // the last step stayed inside one binade
+	for ; k > 0; k-- {
+		next := t + c
+		tb, nb := math.Float64bits(float64(t)), math.Float64bits(float64(next))
+		if nb == tb {
+			return t // stagnation: no later step moves t either
+		}
+		inside := nb > tb && tb>>52 == nb>>52 // same sign and exponent, growing
+		if settled && inside {
+			d := nb - tb
+			n := min(uint64(k-1), (mant-nb&mant)/d)
+			next = vclock.Time(math.Float64frombits(nb + n*d))
+			k -= int(n)
+		}
+		t, settled = next, inside
+	}
+	return t
 }
 
 // streamPasses walks n accesses at addresses 0, stride, 2*stride, ...
@@ -155,7 +177,7 @@ func streamPasses(h *Hierarchy, counts []uint64, n int, stride uint64, passes in
 		u.run(passes*u.period, nil, counts)
 		return
 	}
-	h.AccessRange(0, n, stride)
+	h.AccessRangeInto(make([]uint64, len(counts)), 0, n, stride)
 	for p := 0; p < passes; p++ {
 		h.AccessRangeInto(counts, 0, n, stride)
 	}
