@@ -308,21 +308,6 @@ func BenchmarkAblationOffloadPipelining(b *testing.B) {
 	}
 }
 
-// The long-message broadcast switch (van de Geijn vs binomial).
-func BenchmarkAblationBcastLong(b *testing.B) {
-	long := simmpi.Config{Ranks: simmpi.HostPlacement(16, 1)}
-	binom := simmpi.Config{Ranks: simmpi.HostPlacement(16, 1), BcastLongBytes: 1 << 30}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := simmpi.CollectiveTime(long, simmpi.BcastKind, 4<<20, 1); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := simmpi.CollectiveTime(binom, simmpi.BcastKind, 4<<20, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Real distributed kernels end to end (execution + virtual time).
 func BenchmarkKernelCGMPI(b *testing.B) {
 	m := npb.MakeCGMatrix(400, 5)

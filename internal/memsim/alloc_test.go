@@ -8,7 +8,7 @@ import (
 )
 
 // Allocation-regression guards for the closed form. A provable point
-// prices in O(levels) arithmetic plus O(accesses) float additions and
+// prices in O(levels) arithmetic plus an O(binades) latency sum and
 // allocates only its engine (and its counts slice); a regression that
 // reintroduces per-point buffers or per-access allocation trips these.
 

@@ -124,7 +124,7 @@ func rackSeqAllocs(t testing.TB, nodes, perNode, iters int) float64 {
 	}
 	steps := []SeqStep{
 		{Compute: 3 * vclock.Microsecond, Kind: AllreduceKind, Bytes: 64},
-		{Kind: AllgatherKind, Bytes: 256},
+		{Kind: AlltoallKind, Bytes: 256},
 	}
 	return testing.AllocsPerRun(5, func() {
 		if _, ok := w.RepeatSeq(steps, iters); !ok {

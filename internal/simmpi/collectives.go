@@ -11,7 +11,6 @@ const (
 	tagAllgatherRing
 	tagAlltoall
 	tagGather
-	tagScatter
 	// Hierarchical-collective phases (hier.go): up-funnel to the node
 	// leader, leader-to-leader inter-node traffic, down-distribution.
 	tagHierUp
@@ -42,11 +41,10 @@ func OpMax(dst, src []float64) {
 
 // Bcast broadcasts root's buffer to every rank and returns each rank's
 // copy. As in MPI, every rank passes a buffer of the same length (the
-// "count" argument of MPI_Bcast); only root's contents matter. Short
-// messages take the binomial tree (log n latency steps); long messages
-// take the van de Geijn scatter-plus-ring-allgather, which moves only
-// ~2x the message per rank — the algorithm real MPI libraries switch to
-// for payloads like Cart3D's 56 MB broadcasts (Section 6.4.2).
+// "count" argument of MPI_Bcast); only root's contents matter. Every
+// size and world, rack worlds included, takes MPICH's binomial tree
+// (log n latency steps); the paper measures Bcast only inside one
+// device and up to 256 KB (Figure 11).
 func (r *Rank) bcastImpl(root int, data payload) payload {
 	n := r.w.size
 	if root < 0 || root >= n {
@@ -55,20 +53,7 @@ func (r *Rank) bcastImpl(root int, data payload) payload {
 	if n == 1 {
 		return data
 	}
-	if r.w.rack != nil {
-		return r.hierBcast(root, data)
-	}
-	if data.n > r.w.cfg.BcastLongBytes && n > 2 {
-		r.setAlgo("vandegeijn")
-		return r.bcastVanDeGeijn(root, data)
-	}
 	r.setAlgo("binomial")
-	return r.bcastBinomial(root, data)
-}
-
-// bcastBinomial is MPICH's classic binomial-tree broadcast.
-func (r *Rank) bcastBinomial(root int, data payload) payload {
-	n := r.w.size
 	rel := (r.id - root + n) % n
 	mask := 1
 	for mask < n {
@@ -88,27 +73,6 @@ func (r *Rank) bcastBinomial(root int, data payload) payload {
 		mask >>= 1
 	}
 	return data
-}
-
-// bcastVanDeGeijn scatters the message down the binomial tree in blocks,
-// then ring-allgathers the blocks. Each rank moves O(2m) bytes instead
-// of the binomial tree's O(m log n) on the critical path.
-func (r *Rank) bcastVanDeGeijn(root int, data payload) payload {
-	n := r.w.size
-	block := (data.n + n - 1) / n
-	padded := block * n
-	// Root pads to a whole number of blocks (alloc zeroes the padding,
-	// which travels through the scatter/allgather).
-	var buf payload
-	if r.id == root {
-		buf = r.w.alloc(padded)
-		buf.copyAt(0, data)
-	}
-	mine := r.scatterImpl(root, buf, block)
-	// Scatter hands rank i block i, so the allgather reassembles the
-	// message in rank order regardless of the root.
-	full := r.allgatherImpl(mine)
-	return full.sub(0, data.n)
 }
 
 // Reduce combines every rank's packed vector with op down a binomial
@@ -187,11 +151,9 @@ func (r *Rank) allreduceImpl(data payload, op Op) payload {
 // size) in rank order on every rank. Small blocks on power-of-two worlds
 // use recursive doubling; larger blocks (or non-power-of-two worlds) use
 // the ring algorithm. The size switch is what produces the step in the
-// paper's Figure 13 at 2–4 KB.
+// paper's Figure 13 at 2–4 KB. Rack worlds run the same flat algorithms
+// over fabric-priced links.
 func (r *Rank) allgatherImpl(block payload) payload {
-	if r.w.rack != nil {
-		return r.hierAllgather(block)
-	}
 	n, m := r.w.size, block.n
 	// Every block of out is overwritten below, so uninitialized bytes
 	// are safe. Callers own the result.
@@ -278,28 +240,6 @@ func (r *Rank) gatherImpl(root int, block payload) payload {
 		out.copyAt(src*m, data)
 	}
 	return out
-}
-
-// Scatter distributes root's buffer (Size() equal blocks) and returns
-// each rank's block.
-func (r *Rank) scatterImpl(root int, data payload, blockBytes int) payload {
-	n, m := r.w.size, blockBytes
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("simmpi: Scatter root %d out of range", root))
-	}
-	r.setAlgo("linear")
-	if r.id != root {
-		return r.recv(root, tagScatter)
-	}
-	if data.n != n*m {
-		panic(fmt.Sprintf("simmpi: Scatter buffer %d bytes, want %d", data.n, n*m))
-	}
-	for dst := 0; dst < n; dst++ {
-		if dst != root {
-			r.send(dst, tagScatter, data.sub(dst*m, (dst+1)*m))
-		}
-	}
-	return data.sub(root*m, (root+1)*m).clone()
 }
 
 // AllreduceSum is shorthand for a one-element sum Allreduce.

@@ -27,8 +27,8 @@ import (
 //     microseconds;
 //   - non-uniform flat world: n clocks, each standing for itself.
 //     Homogeneity still fixes every pair's transfer cost, so binomial
-//     trees, linear scatters, wavefront rounds, per-rank compute and
-//     per-rank payloads replay exactly in dependency order.
+//     trees, wavefront rounds, per-rank compute and per-rank payloads
+//     replay exactly in dependency order.
 //
 // A flat replay starts uniform and expands to the full vector once, at
 // the first step that breaks uniformity (Bcast, the non-power-of-two
@@ -42,9 +42,9 @@ import (
 //
 // The replay refuses (the goroutine engine runs instead) under an
 // injecting fault plan, on worlds of fewer than two ranks, on
-// heterogeneous flat placements, on racks whose nodes differ or number
-// other than a power of two, for steps that break the rack's per-index
-// symmetry, and under the MAIA_NO_FASTPATH escape hatch.
+// heterogeneous flat placements, on racks whose nodes differ, for steps
+// that break the rack's per-index symmetry, and under the
+// MAIA_NO_FASTPATH escape hatch.
 
 // noFastPathEnv force-disables the replay process-wide (the same knob
 // memsim honors).
@@ -65,17 +65,13 @@ func (w *World) symmetric() bool {
 // hatch is off, no fault is injected (a plan that injects nothing IS
 // the healthy machine), there are at least two ranks, and a
 // representative clock vector can stand for them — every rank placed
-// alike on a flat world, identical nodes of a power-of-two count on a
-// rack world.
+// alike on a flat world, identical nodes on a rack world.
 func (w *World) replayable() bool {
 	if noFastPathEnv || w.cfg.Faults.Enabled() || w.size < 2 {
 		return false
 	}
 	if w.rack == nil {
 		return w.symmetric()
-	}
-	if n := w.rack.nodes; n&(n-1) != 0 {
-		return false
 	}
 	R := w.rack.perNode
 	for i, l := range w.cfg.Ranks {
@@ -96,7 +92,7 @@ func (w *World) stepReplayable(st SeqStep) bool {
 			return false // per-rank shapes would differ across nodes
 		}
 		switch st.Kind {
-		case ComputeStep, AllreduceKind, AllgatherKind, AlltoallKind:
+		case ComputeStep, AllreduceKind, AlltoallKind:
 			return true
 		case PairKind:
 			// id^1 pairs stay intra-node when R is even; with one rank
@@ -104,7 +100,8 @@ func (w *World) stepReplayable(st SeqStep) bool {
 			// R > 1 mixes intra- and inter-node pairs.
 			return R == 1 || R%2 == 0
 		default:
-			// Bcast's binomial trees are not index-symmetric, and the
+			// Bcast and Allgather run their flat algorithms, which
+			// are not symmetric per local index, and the
 			// node-boundary exchanges of a ring or a pipeline cross
 			// varying hop counts.
 			return false
@@ -401,7 +398,9 @@ func (s *replay) flatStep(st SeqStep) string {
 		s.round(0, seqShift(st, n), st.Bytes, st.BytesPer)
 		return "ring"
 	case BcastKind:
-		return s.flatBcast(st.Bytes)
+		s.expand()
+		s.bcast(n, st.Bytes)
+		return "binomial"
 	case AllreduceKind:
 		nb := allreduceBytes(st.Bytes)
 		if n&(n-1) == 0 {
@@ -412,10 +411,20 @@ func (s *replay) flatStep(st SeqStep) string {
 		}
 		s.expand()
 		s.reduce(n, nb)
-		s.flatBcast(nb)
+		s.bcast(n, nb)
 		return "reduce+bcast"
 	case AllgatherKind:
-		return s.flatAllgather(st.Bytes)
+		m := st.Bytes
+		if n&(n-1) == 0 && m <= s.w.cfg.AllgatherSwitchBytes {
+			for mask := 1; mask < n; mask <<= 1 {
+				s.round(mask, 0, mask*m, nil)
+			}
+			return "rd"
+		}
+		for step := 0; step < n-1; step++ {
+			s.round(0, 1, m, nil)
+		}
+		return "ring"
 	case AlltoallKind:
 		for step := 1; step < n; step++ {
 			s.round(0, step, st.Bytes, nil)
@@ -424,38 +433,6 @@ func (s *replay) flatStep(st SeqStep) string {
 	default:
 		return "compute"
 	}
-}
-
-// flatBcast mirrors bcastImpl for a root-0 broadcast of nb bytes:
-// binomial for short messages, van de Geijn (scatter + allgather) past
-// BcastLongBytes.
-func (s *replay) flatBcast(nb int) string {
-	s.expand()
-	n := s.w.size
-	if nb > s.w.cfg.BcastLongBytes && n > 2 {
-		block := (nb + n - 1) / n
-		s.scatter(n, block)
-		s.flatAllgather(block)
-		return "vandegeijn"
-	}
-	s.bcast(n, nb)
-	return "binomial"
-}
-
-// flatAllgather mirrors allgatherImpl: recursive doubling for small
-// blocks on power-of-two worlds, the ring otherwise.
-func (s *replay) flatAllgather(m int) string {
-	n := s.w.size
-	if n&(n-1) == 0 && m <= s.w.cfg.AllgatherSwitchBytes {
-		for mask := 1; mask < n; mask <<= 1 {
-			s.round(mask, 0, mask*m, nil)
-		}
-		return "rd"
-	}
-	for step := 0; step < n-1; step++ {
-		s.round(0, 1, m, nil)
-	}
-	return "ring"
 }
 
 // rackStep replays one script step on a rack world, mirroring the
@@ -477,25 +454,6 @@ func (s *replay) rackStep(st SeqStep) string {
 		}
 		s.bcast(R, nb)
 		return "hier:rd"
-	case AllgatherKind:
-		m := st.Bytes
-		nb := R * m
-		s.gather(R, m)
-		algo := "hier:rd"
-		if nb <= s.w.cfg.AllgatherSwitchBytes {
-			for mask := 1; mask < N; mask <<= 1 {
-				s.exchange(0, mask*R, mask*nb)
-			}
-		} else {
-			// Gray-code ring: every step is a one-hop exchange of one
-			// node block; node 1 is the representative one-hop partner.
-			algo = "hier:gray-ring"
-			for step := 0; step < N-1; step++ {
-				s.exchange(0, R, nb)
-			}
-		}
-		s.bcast(R, N*nb)
-		return algo
 	case AlltoallKind:
 		m := st.Bytes
 		full := N * R * m

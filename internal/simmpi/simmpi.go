@@ -57,10 +57,6 @@ type Config struct {
 	// Allgather switches from recursive doubling to the ring algorithm
 	// (the Figure 13 jump). Zero selects the 2 KB default.
 	AllgatherSwitchBytes int
-	// BcastLongBytes is the payload size above which Bcast switches
-	// from the binomial tree to van de Geijn scatter+allgather. Zero
-	// selects the 512 KB default.
-	BcastLongBytes int
 	// Tracer, when non-nil, records a virtual-time span per MPI
 	// operation (named with the algorithm actually chosen, e.g.
 	// "MPI_Allgather[ring]"), per transport flight (category "pcie",
@@ -90,10 +86,11 @@ type Config struct {
 	// Fabric, when non-nil, prices inter-node messages over the rack's
 	// hypercube topology (hop-count latency and bandwidth derating)
 	// instead of the flat single-hop constants. When the placement is
-	// node-major (rank i on node i/perNode, equal blocks, >= 2 nodes)
-	// the world additionally becomes two-level: collectives decompose
-	// into an intra-node phase, an inter-node phase among node leaders,
-	// and an intra-node distribution phase (see hier.go). Nil keeps the
+	// node-major (rank i on node i/perNode, equal blocks, a power-of-two
+	// node count of at least 2) the world additionally becomes two-level:
+	// Allreduce and Alltoall decompose into an intra-node phase, an
+	// inter-node phase among node leaders, and an intra-node
+	// distribution phase (see hier.go). Nil keeps the
 	// single-node model and the legacy flat two-host constants.
 	Fabric *machine.InterNodeFabric
 }
@@ -265,9 +262,6 @@ func NewWorld(cfg Config, opts ...Option) (*World, error) {
 	}
 	if cfg.AllgatherSwitchBytes == 0 {
 		cfg.AllgatherSwitchBytes = 2 << 10
-	}
-	if cfg.BcastLongBytes == 0 {
-		cfg.BcastLongBytes = 512 << 10
 	}
 	w := &World{
 		cfg:         cfg,

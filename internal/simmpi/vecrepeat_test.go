@@ -27,9 +27,9 @@ func randomNonPow2(rng *rand.Rand) Config {
 
 // TestVecReplayMatchesFullRun is the asymmetric-algorithm exactness
 // property: 300 randomized trials aimed at the combinations the scalar
-// replay refuses — binomial Bcast (short) and van de Geijn Bcast (past
-// BcastLongBytes), plus the non-power-of-two reduce+bcast Allreduce —
-// must match the goroutine engine bit for bit.
+// replay refuses — binomial Bcast, short and over half a megabyte, plus
+// the non-power-of-two reduce+bcast Allreduce — must match the
+// goroutine engine bit for bit.
 func TestVecReplayMatchesFullRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 300; trial++ {
@@ -41,10 +41,10 @@ func TestVecReplayMatchesFullRun(t *testing.T) {
 			cfg = randomHomogeneous(rng)
 			kind = BcastKind
 			msg = 1 + rng.Intn(32<<10)
-		case 1: // long-message Bcast: the van de Geijn scatter+allgather
+		case 1: // large binomial Bcast
 			cfg = randomHomogeneous(rng)
 			kind = BcastKind
-			msg = 512<<10 + 1 + rng.Intn(1<<20) // past the default BcastLongBytes
+			msg = 512<<10 + 1 + rng.Intn(1<<20)
 		default: // non-power-of-two Allreduce: reduce+bcast
 			cfg = randomNonPow2(rng)
 			kind = AllreduceKind

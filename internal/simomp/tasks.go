@@ -1,9 +1,6 @@
 package simomp
 
-import (
-	"maia/internal/vclock"
-	"maia/internal/workgroup"
-)
+import "maia/internal/vclock"
 
 // OpenMP explicit tasks (#pragma omp task ... taskwait). The paper's
 // micro-benchmark references include the task-overhead suites of LaGrone
@@ -26,13 +23,12 @@ func (r *Runtime) taskCosts() taskCosts {
 	return taskCosts{create: 0.35, dispatch: 0.12}
 }
 
-// Tasks runs n explicit tasks followed by a taskwait. body(i), when
-// non-nil, really executes for every task. cost gives each task's
-// virtual compute (nil = zero). The return value is the construct's
-// total virtual time on the creating thread: creation of all tasks,
-// execution on the team (earliest-free-thread schedule, like the
-// runtime's work-stealing deques in the balanced case), and the join.
-func (t *Team) Tasks(n int, cost func(i int) vclock.Time, body func(i int)) vclock.Time {
+// tasks prices n explicit tasks of grain virtual compute each,
+// followed by a taskwait. The return value is the construct's total
+// virtual time on the creating thread: creation of all tasks, execution
+// on the team (earliest-free-thread schedule, like the runtime's
+// work-stealing deques in the balanced case), and the join.
+func (t *Team) tasks(n int, grain vclock.Time) vclock.Time {
 	rt := t.rt
 	tc := rt.taskCosts()
 	createCost := vclock.Time(tc.create) * vclock.Microsecond
@@ -43,15 +39,7 @@ func (t *Team) Tasks(n int, cost func(i int) vclock.Time, body func(i int)) vclo
 	}
 	createCost = rt.scale(createCost)
 	dispatchCost = rt.scale(dispatchCost)
-
-	// Real execution.
-	if body != nil {
-		g := workgroup.New(t.workers)
-		for i := 0; i < n; i++ {
-			g.Go(func() { body(i) })
-		}
-		g.Wait()
-	}
+	c := rt.scale(grain)
 
 	// Virtual schedule: the creator emits tasks one creation interval
 	// apart; each task starts on the earliest-free thread no earlier
@@ -62,10 +50,6 @@ func (t *Team) Tasks(n int, cost func(i int) vclock.Time, body func(i int)) vclo
 		created += createCost
 		tid := earliest(busy)
 		start := vclock.Max(busy[tid], created)
-		c := vclock.Time(0)
-		if cost != nil {
-			c = rt.scale(cost(i))
-		}
 		busy[tid] = start + dispatchCost + c
 	}
 	var span vclock.Time
@@ -84,7 +68,7 @@ func MeasureTaskOverhead(rt *Runtime, n int) vclock.Time {
 	team := NewTeam(rt)
 	grain := refIterCost * 8
 	ts := vclock.Time(n) * grain
-	tp := team.Tasks(n, func(int) vclock.Time { return grain }, nil)
+	tp := team.tasks(n, grain)
 	over := tp - ts/vclock.Time(team.Threads())
 	return over / vclock.Time(n)
 }

@@ -1,39 +1,19 @@
 package simomp
 
 import (
-	"sync"
 	"testing"
 
 	"maia/internal/machine"
 	"maia/internal/vclock"
 )
 
-func TestTasksExecuteAll(t *testing.T) {
-	team := NewTeam(hostRT())
-	var mu sync.Mutex
-	seen := map[int]int{}
-	team.Tasks(100, nil, func(i int) {
-		mu.Lock()
-		seen[i]++
-		mu.Unlock()
-	})
-	if len(seen) != 100 {
-		t.Fatalf("%d distinct tasks ran, want 100", len(seen))
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("task %d ran %d times", i, c)
-		}
-	}
-}
-
-// Task creation serializes: with zero-cost bodies, the span approaches
+// Task creation serializes: with zero-grain tasks, the span approaches
 // n * createCost regardless of team width.
 func TestTaskCreationSerializes(t *testing.T) {
 	rt := phiRT()
 	team := NewTeam(rt)
 	n := 512
-	span := team.Tasks(n, nil, nil)
+	span := team.tasks(n, 0)
 	floor := vclock.Time(float64(n)*rt.taskCosts().create) * vclock.Microsecond
 	if span < floor {
 		t.Fatalf("task span %v below creation floor %v", span, floor)
@@ -53,17 +33,14 @@ func TestTaskOverheadPhiRatio(t *testing.T) {
 	}
 }
 
-// Tasks with uneven costs balance across threads: makespan is near the
-// critical path, far below the serial sum.
+// Tasks balance across threads: the makespan is far below the serial
+// sum.
 func TestTasksBalance(t *testing.T) {
 	rt := New(machine.HostCoresPartition(machine.NewNode(), 8, 1))
 	team := NewTeam(rt)
-	costs := func(i int) vclock.Time { return vclock.Time(i%7+1) * vclock.Microsecond }
-	span := team.Tasks(64, costs, nil)
-	var serial vclock.Time
-	for i := 0; i < 64; i++ {
-		serial += costs(i)
-	}
+	grain := 4 * vclock.Microsecond
+	span := team.tasks(64, grain)
+	serial := 64 * grain
 	if span.Seconds() > serial.Seconds()/2 {
 		t.Fatalf("tasks did not parallelize: span %v vs serial %v", span, serial)
 	}
@@ -72,9 +49,9 @@ func TestTasksBalance(t *testing.T) {
 // Timing is deterministic.
 func TestTasksDeterministic(t *testing.T) {
 	team := NewTeam(phiRT())
-	costs := func(i int) vclock.Time { return vclock.Time(i%5+1) * vclock.Microsecond }
-	a := team.Tasks(200, costs, nil)
-	b := team.Tasks(200, costs, nil)
+	grain := 3 * vclock.Microsecond
+	a := team.tasks(200, grain)
+	b := team.tasks(200, grain)
 	if a != b {
 		t.Fatalf("task timing nondeterministic: %v vs %v", a, b)
 	}
